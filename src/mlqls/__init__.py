@@ -26,7 +26,6 @@ from .exact import (
 from .flow import (
     FlowConfig,
     FlowResult,
-    GuardDecision,
     StageStat,
     compression_guard,
     run_mlqls,
@@ -39,7 +38,6 @@ from .model import (
     Gate,
     Mapping,
     QasmError,
-    all_pairs_distance,
     build_dag,
     circuit_from_json,
     circuit_to_json,

@@ -31,6 +31,7 @@ from .model import (
 )
 from .srefine import SrefineConfig, srefine_run
 from .verify import (
+    QlsSolution,
     asap_depth,
     solution_from_json,
     solution_to_json,
@@ -84,45 +85,62 @@ def _parse_kv(text: str) -> dict[str, str]:
     return out
 
 
-def build_circuit(spec: RunSpec, device: CouplingGraph) -> Circuit:
-    if (spec.circuit_file is None) == (spec.gen is None):
+def build_circuit(
+    device: CouplingGraph, circuit_file: str | None = None, gen: str | None = None, seed: int = 0
+) -> Circuit:
+    """Read ``circuit_file`` (QASM or circuit JSON) or generate from ``gen``."""
+    if (circuit_file is None) == (gen is None):
         raise ValueError("exactly one of --circuit and --gen is required")
-    if spec.circuit_file is not None:
-        if spec.circuit_file.endswith(".json"):
-            with open(spec.circuit_file) as fh:
+    if circuit_file is not None:
+        with open(circuit_file) as fh:
+            if circuit_file.endswith(".json"):
                 return circuit_from_json(json.load(fh))
-        with open(spec.circuit_file) as fh:
             return parse_qasm(fh.read())
-    kind, _, rest = spec.gen.partition(":")
+    kind, _, rest = gen.partition(":")
     kv = _parse_kv(rest)
     if kind == "queko":
         depth = int(kv.get("depth", "10"))
         density = float(kv.get("density", "0.5"))
-        circuit, _ = gen_queko(device, depth, density, spec.seed)
+        circuit, _ = gen_queko(device, depth, density, seed)
         return circuit
     if kind == "qaoa":
-        return gen_qaoa(int(kv["n"]), spec.seed)
+        return gen_qaoa(int(kv["n"]), seed)
     if kind == "chain":
         return gen_chain(int(kv["n"]))
     raise ValueError(f"unknown generator {kind!r}")
 
 
-def _srefine_config(scale: float) -> SrefineConfig:
-    return SrefineConfig(
+def _solve(
+    mode: str, circuit: Circuit, device: CouplingGraph, seed: int, scale: float
+) -> tuple[QlsSolution, dict]:
+    """Run one solver with the paper budgets times ``scale``; returns the
+    solution and the mode's extra bundle metadata."""
+    srefine_cfg = SrefineConfig(
         mapper_first_budget=_MAPPER_FIRST_SECONDS * scale,
         mapper_next_budget=_MAPPER_NEXT_SECONDS * scale,
     )
-
-
-def _flow_config(seed: int, scale: float) -> FlowConfig:
-    return FlowConfig(
-        seed=seed,
-        srefine=_srefine_config(scale),
-        exact=ExactConfig(
-            post_first_solution_budget=_EXACT_POST_FIRST_SECONDS * scale,
-            overall_budget=_EXACT_OVERALL_SECONDS * scale,
-        ),
+    if mode == "srefine":
+        return srefine_run(circuit, device, None, srefine_cfg, random.Random(seed)), {}
+    exact_cfg = ExactConfig(
+        post_first_solution_budget=_EXACT_POST_FIRST_SECONDS * scale,
+        overall_budget=_EXACT_OVERALL_SECONDS * scale,
     )
+    if mode == "vcycle":
+        result = run_mlqls(
+            circuit, device, FlowConfig(seed=seed, srefine=srefine_cfg, exact=exact_cfg)
+        )
+        return result.final, {
+            "initial_swaps": swap_count(result.initial),
+            "stats": [
+                {"stage": s.stage, "swaps": s.swaps, "seconds": round(s.seconds, 3)}
+                for s in result.stats
+            ],
+            "levels": result.levels.to_json(),
+        }
+    if mode == "exact":
+        res = solve_exact(circuit, device, exact_cfg)
+        return res.solution, {"proven_optimal": res.proven_optimal, "timed_out": res.timed_out}
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def cmd_compile(spec: RunSpec) -> int:
@@ -131,38 +149,12 @@ def cmd_compile(spec: RunSpec) -> int:
         return _cmd_verify(spec, device)
     if device is None:
         raise ValueError("--device is required")
-    circuit = build_circuit(spec, device)
+    circuit = build_circuit(device, spec.circuit_file, spec.gen, spec.seed)
     t0 = time.monotonic()
-    extra: dict = {}
-    if spec.mode == "srefine":
-        sol = srefine_run(
-            circuit, device, None, _srefine_config(spec.budget_scale), random.Random(spec.seed)
-        )
-    elif spec.mode == "vcycle":
-        result = run_mlqls(circuit, device, _flow_config(spec.seed, spec.budget_scale))
-        sol = result.final
-        extra["initial_swaps"] = swap_count(result.initial)
-        extra["stats"] = [
-            {"stage": s.stage, "swaps": s.swaps, "seconds": round(s.seconds, 3)}
-            for s in result.stats
-        ]
-        if spec.dump_levels:
-            extra["levels"] = result.levels.to_json()
-    elif spec.mode == "exact":
-        res = solve_exact(
-            circuit,
-            device,
-            ExactConfig(
-                post_first_solution_budget=_EXACT_POST_FIRST_SECONDS * spec.budget_scale,
-                overall_budget=_EXACT_OVERALL_SECONDS * spec.budget_scale,
-            ),
-        )
-        sol = res.solution
-        extra["proven_optimal"] = res.proven_optimal
-        extra["timed_out"] = res.timed_out
-    else:
-        raise ValueError(f"unknown mode {spec.mode!r}")
+    sol, extra = _solve(spec.mode, circuit, device, spec.seed, spec.budget_scale)
     seconds = time.monotonic() - t0
+    if not spec.dump_levels:
+        extra.pop("levels", None)
     report = verify(circuit, device, sol)
     if not report.ok:  # internal bug: solvers must emit valid solutions
         print(f"INTERNAL ERROR: solution failed verification: {report.first_failure()}")
@@ -195,14 +187,14 @@ def _cmd_verify(spec: RunSpec, device: CouplingGraph | None) -> int:
         raise ValueError("--mode verify requires --solution")
     with open(spec.solution_file) as fh:
         data = json.load(fh)
-    if "solution" in data:  # bundle written by cmd_compile
-        circuit = circuit_from_json(data["circuit"])
-        device = device_from_json(data["device"])
+    if isinstance(data, dict) and "solution" in data:  # bundle written by cmd_compile
+        circuit = circuit_from_json(data.get("circuit"))
+        device = device_from_json(data.get("device"))
         sol = solution_from_json(data["solution"])
     else:
         if spec.circuit_file is None or device is None:
             raise ValueError("bare solution file needs --circuit and --device")
-        circuit = build_circuit(spec, device)
+        circuit = build_circuit(device, spec.circuit_file, spec.gen, spec.seed)
         sol = solution_from_json(data)
     report = verify(circuit, device, sol)
     if report.ok:
@@ -224,54 +216,31 @@ _CSV_HEADER = "suite,circuit,device,mode,seed,qubits,gates,swaps,depth,seconds,v
 
 def _bench_jobs(suite: str, devices: list[str], depths: list[int], sizes: list[int],
                 seeds: int, modes: list[str], density: float) -> list[dict]:
-    jobs = []
+    # (device, generator, seed, label) per instance
     if suite == "queko":
-        for dev in devices:
-            for depth in depths:
-                for seed in range(seeds):
-                    for mode in modes:
-                        jobs.append(
-                            dict(suite=suite, device=dev, gen=f"queko:depth={depth},density={density}",
-                                 label=f"queko_d{depth}_s{seed}", seed=seed, mode=mode)
-                        )
-    elif suite == "qaoa":
-        for n in sizes:
-            for seed in range(seeds):
-                for mode in modes:
-                    dev = devices[0] if devices else f"grid:{math.isqrt(n - 1) + 1}"
-                    jobs.append(
-                        dict(suite=suite, device=dev, gen=f"qaoa:n={n}",
-                             label=f"qaoa_{n}_s{seed}", seed=seed, mode=mode)
-                    )
-    elif suite == "chain":
-        for n in sizes:
-            for seed in range(seeds):
-                for mode in modes:
-                    dev = devices[0] if devices else f"grid:{math.isqrt(n - 1) + 1}"
-                    jobs.append(
-                        dict(suite=suite, device=dev, gen=f"chain:n={n}",
-                             label=f"chain_{n}", seed=seed, mode=mode)
-                    )
+        instances = [
+            (dev, f"queko:depth={depth},density={density}", seed, f"queko_d{depth}_s{seed}")
+            for dev in devices for depth in depths for seed in range(seeds)
+        ]
+    elif suite in ("qaoa", "chain"):
+        instances = [
+            (devices[0] if devices else f"grid:{math.isqrt(n - 1) + 1}", f"{suite}:n={n}", seed,
+             f"qaoa_{n}_s{seed}" if suite == "qaoa" else f"chain_{n}")
+            for n in sizes for seed in range(seeds)
+        ]
     else:
         raise ValueError(f"unknown suite {suite!r}")
-    return jobs
+    return [
+        dict(suite=suite, device=dev, gen=gen, label=label, seed=seed, mode=mode)
+        for dev, gen, seed, label in instances for mode in modes
+    ]
 
 
 def _run_bench_job(job: dict) -> dict:
-    scale = job.get("budget_scale", 0.01)
-    spec = RunSpec(mode=job["mode"], device=job["device"], gen=job["gen"], seed=job["seed"],
-                   budget_scale=scale)
-    device = parse_device_spec(spec.device)
-    circuit = build_circuit(spec, device)
+    device = parse_device_spec(job["device"])
+    circuit = build_circuit(device, gen=job["gen"], seed=job["seed"])
     t0 = time.monotonic()
-    if job["mode"] == "srefine":
-        sol = srefine_run(circuit, device, None, _srefine_config(scale), random.Random(spec.seed))
-    elif job["mode"] == "vcycle":
-        sol = run_mlqls(circuit, device, _flow_config(spec.seed, scale)).final
-    elif job["mode"] == "exact":
-        sol = solve_exact(circuit, device).solution
-    else:
-        raise ValueError(f"unknown mode {job['mode']!r}")
+    sol, _ = _solve(job["mode"], circuit, device, job["seed"], job["budget_scale"])
     seconds = time.monotonic() - t0
     ok = verify(circuit, device, sol).ok
     return dict(

@@ -9,7 +9,6 @@ one-hop ring) that steer refinement at the finer level.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .model import Circuit, CouplingGraph, Gate, Mapping
@@ -24,14 +23,13 @@ class ClusteringError(ValueError):
 class ClusterMap:
     """A partition of fine qubit indices into coarse cells.
 
-    Pairing is capped at ``max_cluster_size`` (2); absorbing stranded leftovers
-    may grow a cell by one more.
+    Pairing makes cells of two; absorbing stranded leftovers may grow a cell
+    to three.
     """
 
     fine_to_coarse: tuple[int, ...]
     coarse_to_fine: tuple[tuple[int, ...], ...]
     kind: str
-    max_cluster_size: int = 2
 
     def __post_init__(self) -> None:
         seen: set[int] = set()
@@ -116,36 +114,19 @@ class LevelHierarchy:
         }
 
 
-def affinity(circuit: Circuit, decay: float | None = None) -> list[list[float]]:
-    """Symmetric matrix counting two-qubit gates per program-qubit pair.
-
-    With ``decay`` set, each gate contributes decay^depth instead of 1
-    (experimental position-weighted variant; clustering uses plain counts by
-    default).
-    """
+def affinity(circuit: Circuit) -> list[list[int]]:
+    """Symmetric matrix counting two-qubit gates per program-qubit pair."""
     n = circuit.num_qubits
-    mat = [[0.0] * n for _ in range(n)]
-    weights = None
-    if decay is not None:
-        from .model import build_dag
-
-        weights = [decay**d for d in build_dag(circuit).depth2]
+    mat = [[0] * n for _ in range(n)]
     for g in circuit.gates:
         if g.is_two_qubit:
             a, b = g.qubits
-            w = 1.0 if weights is None else weights[g.id]
-            mat[a][b] += w
-            mat[b][a] += w
+            mat[a][b] += 1
+            mat[b][a] += 1
     return mat
 
 
-def cluster_program(
-    circuit: Circuit,
-    sol: Mapping,
-    graph: CouplingGraph,
-    rng: random.Random | None = None,
-    affinity_decay: float | None = None,
-) -> ClusterMap:
+def cluster_program(circuit: Circuit, sol: Mapping, graph: CouplingGraph) -> ClusterMap:
     """Pair program qubits in descending affinity order, accepting a pair only
     when the guiding mapping places them on adjacent physical qubits.
 
@@ -155,7 +136,7 @@ def cluster_program(
     """
     n = circuit.num_qubits
     dist = graph.dist
-    mat = affinity(circuit, affinity_decay)
+    mat = affinity(circuit)
     scored = [
         (mat[q][r], q, r)
         for q in range(n)
@@ -327,21 +308,16 @@ def interpolate(
     prog_cm: ClusterMap,
     phys_cm: ClusterMap,
     g_fine: CouplingGraph,
-    use_all_blocks: bool = False,
 ) -> MappingRegion:
     """Project a coarse solution down to per-qubit mapping regions.
 
     Each fine program qubit gets the fine qubits of the physical cell its
-    coarse image occupies (first block by default), expanded by one hop.
+    coarse image occupies in the first block, expanded by one hop.
     """
-    blocks = range(coarse_sol.num_blocks) if use_all_blocks else (0,)
+    first = coarse_sol.block_mappings[0]
     regions = []
-    for q in range(len(prog_cm.fine_to_coarse)):
-        cq = prog_cm.fine_to_coarse[q]
-        fine: set[int] = set()
-        for b in blocks:
-            cp = coarse_sol.block_mappings[b][cq]
-            fine.update(phys_cm.coarse_to_fine[cp])
+    for cq in prog_cm.fine_to_coarse:
+        fine = phys_cm.coarse_to_fine[first[cq]]
         ring = set(fine)
         for p in fine:
             ring.update(g_fine.neighbors[p])

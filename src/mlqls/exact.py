@@ -18,7 +18,7 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .model import Circuit, CouplingGraph, Mapping, build_dag
+from .model import Circuit, CouplingGraph, Mapping, build_dag, make_device
 from .verify import QlsSolution, SolutionBuilder, SwapOp, asap_depth, swap_count, verify
 
 
@@ -400,15 +400,21 @@ class _BlockSearch:
 
 
 def _symmetry_positions(graph: CouplingGraph) -> list[int] | None:
-    """One anchor position per symmetry orbit, for library devices only."""
-    name = graph.name
-    if name.startswith("path:"):
-        n = graph.num_physical
+    """One anchor position per symmetry orbit of a library path or grid.
+
+    The name only says which library device to compare against; the orbits
+    are used only when the edges match that device exactly.
+    """
+    kind, _, size = graph.name.partition(":")
+    if kind not in ("path", "grid") or not size.isdecimal() or int(size) < 2:
+        return None
+    n = int(size)
+    library = make_device(kind, n)
+    if (library.num_physical, library.edges) != (graph.num_physical, graph.edges):
+        return None
+    if kind == "path":
         return list(range((n + 1) // 2))
-    if name.startswith("grid:"):
-        n = int(name.split(":")[1])
-        return [r * n + c for r in range(n) for c in range(n) if r <= c <= (n - 1) // 2]
-    return None
+    return [r * n + c for r in range(n) for c in range(n) if r <= c <= (n - 1) // 2]
 
 
 # ---------------------------------------------------------------------------
@@ -416,15 +422,14 @@ def _symmetry_positions(graph: CouplingGraph) -> list[int] | None:
 # ---------------------------------------------------------------------------
 
 
-def _greedy_route(circuit: Circuit, graph: CouplingGraph, start: Mapping | None = None) -> QlsSolution:
-    """Route by walking one blocked gate at a time along shortest paths.
+def _greedy_route(circuit: Circuit, graph: CouplingGraph) -> QlsSolution:
+    """Route from a breadth-first placement by walking one blocked gate at a
+    time along shortest paths.
 
     Never optimal, always valid; supplies the initial incumbent and the
     timeout floor.
     """
-    if start is None:
-        order = _bfs_positions(graph)
-        start = Mapping(tuple(order[: circuit.num_qubits]))
+    start = Mapping(tuple(_bfs_positions(graph)[: circuit.num_qubits]))
     dag = build_dag(circuit)
     indeg = dag.indegrees()
     executed = [False] * len(circuit.gates)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .cluster import (
     Level,
@@ -22,29 +21,24 @@ from .cluster import (
     induced_coarse_mapping,
     interpolate,
 )
-from .exact import ExactConfig, InstanceTooLarge, solve_exact
+from .exact import ExactConfig, solve_exact
 from .model import Circuit, CouplingGraph, Mapping
 from .srefine import SrefineConfig, srefine_run
 from .verify import QlsSolution, asap_depth, swap_count, verify
 
 
-class GuardDecision(Enum):
-    CONTINUE = "continue"
-    STOP = "stop"
-
-
 _MIN_SHRINK = 0.10
+_MAX_LEVELS = 32
 
 
-def compression_guard(hierarchy: LevelHierarchy) -> GuardDecision:
-    """Stop coarsening when the last level shrank by less than 10%."""
+def compression_guard(hierarchy: LevelHierarchy) -> bool:
+    """True while coarsening may continue: the last level shrank by at least
+    10%."""
     counts = hierarchy.qubit_counts()
     if len(counts) < 2:
-        return GuardDecision.STOP
+        return False
     prev, cur = counts[-2], counts[-1]
-    if prev <= 0 or (prev - cur) / prev < _MIN_SHRINK:
-        return GuardDecision.STOP
-    return GuardDecision.CONTINUE
+    return prev > 0 and (prev - cur) / prev >= _MIN_SHRINK
 
 
 @dataclass
@@ -54,20 +48,15 @@ class FlowConfig:
     num_vcycles: int = 1
     seed: int = 0
     srefine: SrefineConfig = field(default_factory=SrefineConfig)
-    exact: ExactConfig | None = None  # None: desk-scale budgets
-    max_levels: int = 32
-    regions_use_all_blocks: bool = False
+    exact: ExactConfig = field(  # desk-scale budgets
+        default_factory=lambda: ExactConfig(post_first_solution_budget=1.0, overall_budget=5.0)
+    )
 
     def __post_init__(self) -> None:
         if self.coarsest_qubit_limit < 2 or self.coarsest_gate_limit < 2:
             raise ValueError("coarsest limits must be >= 2")
         if self.num_vcycles < 0:
             raise ValueError("num_vcycles must be >= 0")
-
-    def exact_config(self) -> ExactConfig:
-        if self.exact is not None:
-            return self.exact
-        return ExactConfig(post_first_solution_budget=1.0, overall_budget=5.0)
 
 
 @dataclass
@@ -117,7 +106,7 @@ def run_mlqls(circuit: Circuit, graph: CouplingGraph, cfg: FlowConfig | None = N
         return FlowResult(initial, initial, hierarchy, stats)
     for cycle in range(cfg.num_vcycles):
         t0 = time.monotonic()
-        hierarchy = _build_hierarchy(circuit, graph, best.block_mappings[0], cfg, rng)
+        hierarchy = _build_hierarchy(circuit, graph, best.block_mappings[0], cfg)
         candidate = _solve_hierarchy(hierarchy, cfg, rng)
         stats.append(
             StageStat(
@@ -143,7 +132,6 @@ def _build_hierarchy(
     graph: CouplingGraph,
     guide: Mapping,
     cfg: FlowConfig,
-    rng: random.Random,
 ) -> LevelHierarchy:
     """Cluster repeatedly, guided by the current solution's first-block
     mapping, until the coarsest instance fits the exact-solver limits or
@@ -153,15 +141,15 @@ def _build_hierarchy(
     while (
         cur_c.num_qubits > cfg.coarsest_qubit_limit
         or len(cur_c.gates) > cfg.coarsest_gate_limit
-    ) and len(hierarchy) < cfg.max_levels:
-        prog_cm = cluster_program(cur_c, cur_m, cur_g, rng)
+    ) and len(hierarchy) < _MAX_LEVELS:
+        prog_cm = cluster_program(cur_c, cur_m, cur_g)
         phys_cm = cluster_physical(cur_g, prog_cm, cur_m)
         coarse_c, coarse_g = coarsen(cur_c, cur_g, prog_cm, phys_cm)
         coarse_m = induced_coarse_mapping(prog_cm, phys_cm, cur_m)
         hierarchy.levels[-1] = Level(cur_c, cur_g, prog_cm, phys_cm)
         hierarchy.levels.append(Level(coarse_c, coarse_g, None, None))
         cur_c, cur_g, cur_m = coarse_c, coarse_g, coarse_m
-        if compression_guard(hierarchy) is GuardDecision.STOP:
+        if not compression_guard(hierarchy):
             break
     return hierarchy
 
@@ -174,7 +162,6 @@ def _quick_srefine(base: SrefineConfig) -> SrefineConfig:
         candidates=2,
         mapper_first_budget=min(base.mapper_first_budget, 1.0),
         mapper_next_budget=min(base.mapper_next_budget, 0.5),
-        mapper_qubit_limit=base.mapper_qubit_limit,
     )
 
 
@@ -184,11 +171,9 @@ def _solve_hierarchy(
     """Solve the coarsest level (exactly when it fits), then interpolate and
     refine back down to the finest level."""
     coarsest = hierarchy.levels[-1]
-    exact_cfg = cfg.exact_config()
-    coarse_sol: QlsSolution | None = None
     if (
-        coarsest.circuit.num_qubits <= exact_cfg.max_qubits
-        and len(coarsest.circuit.gates) <= exact_cfg.max_gates
+        coarsest.circuit.num_qubits <= cfg.exact.max_qubits
+        and len(coarsest.circuit.gates) <= cfg.exact.max_gates
     ):
         warm = srefine_run(
             coarsest.circuit,
@@ -197,13 +182,10 @@ def _solve_hierarchy(
             _quick_srefine(cfg.srefine),
             random.Random(rng.randrange(1 << 62)),
         )
-        try:
-            coarse_sol = solve_exact(
-                coarsest.circuit, coarsest.graph, exact_cfg, warm_start=warm
-            ).solution
-        except InstanceTooLarge:  # defensive; the size check above covers it
-            coarse_sol = None
-    if coarse_sol is None:
+        coarse_sol = solve_exact(
+            coarsest.circuit, coarsest.graph, cfg.exact, warm_start=warm
+        ).solution
+    else:
         coarse_sol = srefine_run(
             coarsest.circuit,
             coarsest.graph,
@@ -219,7 +201,6 @@ def _solve_hierarchy(
             identity_cluster_map(level.circuit.num_qubits, "program"),
             identity_cluster_map(level.graph.num_physical, "physical"),
             level.graph,
-            cfg.regions_use_all_blocks,
         )
         refined = srefine_run(
             level.circuit, level.graph, regions, cfg.srefine, random.Random(rng.randrange(1 << 62))
@@ -231,9 +212,7 @@ def _solve_hierarchy(
         report = verify(hierarchy.levels[i + 1].circuit, hierarchy.levels[i + 1].graph, coarse_sol)
         if not report.ok:
             raise AssertionError(f"coarse solution invalid at level {i + 1}: {report.first_failure()}")
-        regions = interpolate(
-            coarse_sol, level.prog_map, level.phys_map, level.graph, cfg.regions_use_all_blocks
-        )
+        regions = interpolate(coarse_sol, level.prog_map, level.phys_map, level.graph)
         coarse_sol = srefine_run(
             level.circuit, level.graph, regions, cfg.srefine, random.Random(rng.randrange(1 << 62))
         )

@@ -61,9 +61,6 @@ class Circuit:
         gates = tuple(Gate(i, (a, b)) for i, (a, b) in enumerate(pairs))
         return cls(num_qubits, gates, commutable)
 
-    def two_qubit_gates(self) -> list[Gate]:
-        return [g for g in self.gates if g.is_two_qubit]
-
     def reversed(self) -> "Circuit":
         """The same gates in reverse order, re-numbered from 0."""
         rev = tuple(
@@ -92,13 +89,6 @@ class Mapping:
 
     def __len__(self) -> int:
         return len(self.assignment)
-
-    def occupancy(self, num_physical: int) -> list[int]:
-        """Inverse view: physical qubit -> program qubit, -1 when empty."""
-        occ = [-1] * num_physical
-        for q, p in enumerate(self.assignment):
-            occ[p] = q
-        return occ
 
     def apply_swaps(self, edges) -> "Mapping":
         """Mapping after exchanging the occupants of each edge, in order."""
@@ -262,11 +252,6 @@ def _bfs_all_pairs(n: int, neighbors) -> tuple[tuple[int, ...], ...]:
             raise DeviceError("coupling graph is disconnected")
         rows.append(tuple(row))
     return tuple(rows)
-
-
-def all_pairs_distance(graph: CouplingGraph) -> tuple[tuple[int, ...], ...]:
-    """Hop-count distance matrix of the device (precomputed at construction)."""
-    return graph.dist
 
 
 def make_device(kind: str, n: int | None = None, edges=None) -> CouplingGraph:
@@ -480,12 +465,47 @@ def circuit_to_json(circuit: Circuit) -> dict:
     }
 
 
+_REQUIRED = object()
+
+
+def _json_field(data, key: str, kind, what: str, default=_REQUIRED):
+    """``data[key]`` checked against ``kind`` (JSON booleans are not ints);
+    ValueError on a wrong type, or on a missing key without a default."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what}: expected a JSON object")
+    if key not in data:
+        if default is _REQUIRED:
+            raise ValueError(f"{what}: missing key {key!r}")
+        return default
+    value = data[key]
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"{what}: {key!r} has the wrong type")
+    return value
+
+
+def _json_ints(value, what: str, length: int | None = None) -> tuple[int, ...]:
+    """A JSON list of integers as a tuple, optionally of a fixed length."""
+    if not isinstance(value, list) or any(
+        not isinstance(x, int) or isinstance(x, bool) for x in value
+    ):
+        raise ValueError(f"{what}: expected a list of integers")
+    if length is not None and len(value) != length:
+        raise ValueError(f"{what}: expected {length} elements, got {len(value)}")
+    return tuple(value)
+
+
 def circuit_from_json(data: dict) -> Circuit:
-    gates = tuple(
-        Gate(i, tuple(g["qubits"]), g.get("name", "cx"))
-        for i, g in enumerate(data["gates"])
+    """Inverse of circuit_to_json; ValueError on malformed input."""
+    gates = []
+    for i, g in enumerate(_json_field(data, "gates", list, "circuit")):
+        what = f"circuit gate {i}"
+        qubits = _json_ints(_json_field(g, "qubits", list, what), f"{what} qubits")
+        gates.append(Gate(i, qubits, _json_field(g, "name", str, what, default="cx")))
+    return Circuit(
+        _json_field(data, "num_qubits", int, "circuit"),
+        tuple(gates),
+        _json_field(data, "commutable", bool, "circuit", default=False),
     )
-    return Circuit(int(data["num_qubits"]), gates, bool(data.get("commutable", False)))
 
 
 def device_to_json(graph: CouplingGraph) -> dict:
@@ -497,10 +517,15 @@ def device_to_json(graph: CouplingGraph) -> dict:
 
 
 def device_from_json(data: dict) -> CouplingGraph:
+    """Inverse of device_to_json; ValueError on malformed input."""
+    edges = [
+        _json_ints(e, f"device edge {i}", length=2)
+        for i, e in enumerate(_json_field(data, "edges", list, "device"))
+    ]
     return CouplingGraph.build(
-        int(data["num_qubits"]),
-        [tuple(e) for e in data["edges"]],
-        name=str(data.get("name", "custom")),
+        _json_field(data, "num_qubits", int, "device"),
+        edges,
+        name=_json_field(data, "name", str, "device", default="custom"),
     )
 
 

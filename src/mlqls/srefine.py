@@ -23,6 +23,7 @@ from .model import Circuit, CouplingGraph, Mapping, build_dag, uncommon_qubits
 from .verify import QlsSolution, SolutionBuilder, SwapOp, asap_depth, swap_count, verify
 
 _MAPPER_NODES_PER_SECOND = 50_000
+_MAPPER_QUBIT_LIMIT = 100  # larger circuits start from random placements
 
 
 @dataclass
@@ -70,7 +71,6 @@ class SrefineConfig:
     candidates: int = 5
     mapper_first_budget: float = 10.0
     mapper_next_budget: float = 1.0
-    mapper_qubit_limit: int = 100
 
 
 # ---------------------------------------------------------------------------
@@ -946,7 +946,7 @@ def srefine_run(
         embedded_all = False
         if regions is None:
             start = None
-            if circuit.num_qubits < cfgs.mapper_qubit_limit:
+            if circuit.num_qubits < _MAPPER_QUBIT_LIMIT:
                 budget = cfgs.mapper_first_budget if i == 0 else cfgs.mapper_next_budget
                 start, accepted, total = _initial_mapper_ex(circuit, graph, budget, crng)
                 embedded_all = start is not None and accepted == total

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .model import Circuit, CouplingGraph, Mapping, build_dag
+from .model import Circuit, CouplingGraph, Mapping, _json_field, _json_ints, build_dag
 
 
 class SwapOp(NamedTuple):
@@ -242,10 +242,6 @@ class SolutionBuilder:
         self._swaps: list[SwapOp] = []
         self._pending: list[tuple[int, int]] = []
 
-    @property
-    def current_mapping(self) -> Mapping:
-        return Mapping(tuple(self._current))
-
     def add_swap(self, edge: tuple[int, int]) -> None:
         a, b = min(edge), max(edge)
         qa, qb = self._pos.pop(a, None), self._pos.pop(b, None)
@@ -288,9 +284,21 @@ def solution_to_json(sol: QlsSolution) -> dict:
 
 
 def solution_from_json(data: dict) -> QlsSolution:
+    """Inverse of solution_to_json; ValueError on malformed input."""
+    blocks = tuple(
+        Mapping(_json_ints(_json_field(b, "mapping", list, f"block {i}"), f"block {i} mapping"))
+        for i, b in enumerate(_json_field(data, "blocks", list, "solution"))
+    )
+    swaps = tuple(
+        SwapOp(
+            _json_ints(_json_field(sw, "edge", list, f"swap {i}"), f"swap {i} edge", length=2),
+            _json_field(sw, "gap", int, f"swap {i}"),
+        )
+        for i, sw in enumerate(_json_field(data, "swaps", list, "solution"))
+    )
     return QlsSolution(
-        tuple(Mapping(tuple(b["mapping"])) for b in data["blocks"]),
-        tuple(data["gate_block"]),
-        tuple(SwapOp((sw["edge"][0], sw["edge"][1]), sw["gap"]) for sw in data["swaps"]),
-        data.get("depth"),
+        blocks,
+        _json_ints(_json_field(data, "gate_block", list, "solution"), "solution gate_block"),
+        swaps,
+        _json_field(data, "depth", (int, type(None)), "solution", default=None),
     )

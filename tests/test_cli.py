@@ -193,6 +193,57 @@ def test_bench_parallel_workers(tmp_path, monkeypatch):
     assert len(out.read_text().strip().splitlines()) == 3
 
 
+def test_bench_exact_uses_budget_scale(tmp_path, monkeypatch):
+    import mlqls.cli as cli
+
+    seen = []
+    real = cli.solve_exact
+
+    def spy(circuit, device, cfg=None, **kwargs):
+        seen.append(cfg)
+        return real(circuit, device, cfg, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_exact", spy)
+    monkeypatch.delenv("MLQLS_THREADS", raising=False)
+    scale = 0.002
+    cmd_bench(
+        "chain", devices=["path:4"], depths=[], sizes=[4], seeds=1,
+        modes=["exact"], out=str(tmp_path / "e.csv"), budget_scale=scale,
+    )
+    assert len(seen) == 1 and seen[0] is not None
+    assert seen[0].overall_budget == pytest.approx(300 * scale)
+    assert seen[0].post_first_solution_budget == pytest.approx(100 * scale)
+
+
+_MALFORMED = {
+    "bundle_without_gate_block": lambda b: b["solution"].pop("gate_block"),
+    "string_mapping": lambda b: b["solution"]["blocks"][0].update(mapping="0123"),
+    "three_element_swap_edge": lambda b: b["solution"]["swaps"].append({"edge": [0, 1, 2], "gap": 0}),
+    "circuit_without_gates": lambda b: b["circuit"].pop("gates"),
+    "three_element_device_edge": lambda b: b["device"]["edges"][0].append(2),
+    "bundle_without_device": lambda b: b.pop("device"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_bundle_exits_2(tmp_path, capsys, case):
+    out = tmp_path / "sol.json"
+    rc = main(
+        [
+            "compile", "--device", "path:4", "--gen", "chain:n=4", "--mode", "srefine",
+            "--budget-scale", "0.001", "--out", str(out),
+        ]
+    )
+    assert rc == 0
+    bundle = json.loads(out.read_text())
+    _MALFORMED[case](bundle)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(bundle))
+    capsys.readouterr()
+    assert main(["compile", "--mode", "verify", "--solution", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_queko_bench_counts_rows(tmp_path):
     out = tmp_path / "q.csv"
     cmd_bench(

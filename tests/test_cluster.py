@@ -1,5 +1,4 @@
 import math
-import random
 
 import pytest
 
@@ -39,11 +38,6 @@ class TestAffinity:
         assert a[0][1] == a[1][2] == 1
         assert a[0][2] == 0
 
-    def test_decay_weighted_variant(self):
-        c = Circuit.from_pairs(2, [(0, 1), (0, 1)])
-        a = affinity(c, decay=0.5)
-        assert a[0][1] == pytest.approx(1.0 + 0.5)
-
 
 class TestClusterProgram:
     def test_affinity_and_adjacency_align(self, path4):
@@ -67,10 +61,9 @@ class TestClusterProgram:
         assert cm.fine_to_coarse[2] == cm.fine_to_coarse[3]
 
     def test_cells_bounded_by_three(self, grid4):
-        rng = random.Random(5)
         for seed in range(5):
             c, wit = gen_queko(grid4, 5, 0.5, seed=seed)
-            cm = cluster_program(c, wit, grid4, rng)
+            cm = cluster_program(c, wit, grid4)
             assert max(len(cell) for cell in cm.coarse_to_fine) <= 3
 
     def test_compression_bounds(self, grid4):

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from mlqls import Circuit, make_device
+from mlqls import Circuit, CouplingGraph, make_device
 from mlqls.exact import (
     ExactConfig,
     InstanceTooLarge,
     OracleLimitError,
+    _symmetry_positions,
     optimal_oracle,
     solve_exact,
 )
@@ -67,6 +68,23 @@ class TestSolveExact:
         rng = random.Random(seed)
         c = random_instance(rng, 4, rng.randint(2, 6))
         assert solve_exact(c, path4).swaps == optimal_oracle(c, path4, 10)
+
+    def test_misnamed_device_matches_oracle(self):
+        # A tree named like a library path must not get the path's anchor
+        # orbits: searching half the anchor positions misses optima.
+        tree = CouplingGraph.build(6, [(0, 1), (1, 2), (1, 3), (3, 4), (4, 5)], name="path:6")
+        rng = random.Random(0)
+        for _ in range(50):
+            c = random_instance(rng, rng.randint(4, 6), rng.randint(6, 8))
+            res = solve_exact(c, tree)
+            assert res.swaps == optimal_oracle(c, tree, res.swaps)
+
+    def test_symmetry_orbits_need_library_edges(self, path4, tshape5):
+        assert _symmetry_positions(path4) == [0, 1]
+        assert _symmetry_positions(make_device("grid", 3)) == [0, 1, 4]
+        misnamed = CouplingGraph.build(5, tshape5.edges, name="path:5")
+        assert _symmetry_positions(misnamed) is None
+        assert _symmetry_positions(CouplingGraph.build(2, [(0, 1)], name="grid:x")) is None
 
     def test_matches_oracle_commutable(self, path4):
         rng = random.Random(99)

@@ -11,7 +11,7 @@ from mlqls import (
     make_device,
 )
 from mlqls.exact import ExactConfig
-from mlqls.flow import FlowConfig, GuardDecision, compression_guard, run_mlqls
+from mlqls.flow import FlowConfig, compression_guard, run_mlqls
 from mlqls.srefine import SrefineConfig
 from mlqls.verify import solution_to_json, swap_count, verify
 
@@ -36,13 +36,13 @@ class TestCompressionGuard:
         return LevelHierarchy(levels)
 
     def test_stall_stops(self):
-        assert compression_guard(self._hier([16, 15])) is GuardDecision.STOP
+        assert compression_guard(self._hier([16, 15])) is False
 
     def test_halving_continues(self):
-        assert compression_guard(self._hier([16, 8])) is GuardDecision.CONTINUE
+        assert compression_guard(self._hier([16, 8])) is True
 
     def test_single_level_stops(self):
-        assert compression_guard(self._hier([16])) is GuardDecision.STOP
+        assert compression_guard(self._hier([16])) is False
 
 
 class TestRunMlqls:

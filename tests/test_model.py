@@ -7,7 +7,6 @@ from mlqls import (
     DeviceError,
     Gate,
     QasmError,
-    all_pairs_distance,
     build_dag,
     circuit_from_json,
     circuit_to_json,
@@ -143,7 +142,7 @@ class TestDistances:
             n = rng.randint(2, 12)
             edges = random_connected_graph(rng, n, rng.randint(0, n))
             g = make_device("custom", n=n, edges=edges)
-            dist = all_pairs_distance(g)
+            dist = g.dist
             for a in range(n):
                 for b in range(n):
                     assert dist[a][b] == dist[b][a]
