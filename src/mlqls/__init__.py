@@ -53,9 +53,7 @@ from .model import (
     uncommon_qubits,
 )
 from .srefine import (
-    AStarConfig,
     AStarState,
-    SaConfig,
     SrefineConfig,
     astar_insert,
     forward_backward,

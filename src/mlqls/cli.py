@@ -45,6 +45,8 @@ _MAPPER_NEXT_SECONDS = 100.0
 _EXACT_POST_FIRST_SECONDS = 100.0
 _EXACT_OVERALL_SECONDS = 300.0
 
+_SOLVE_MODES = ("srefine", "vcycle", "exact")
+
 
 @dataclass
 class RunSpec:
@@ -103,10 +105,11 @@ def build_circuit(
         density = float(kv.get("density", "0.5"))
         circuit, _ = gen_queko(device, depth, density, seed)
         return circuit
-    if kind == "qaoa":
-        return gen_qaoa(int(kv["n"]), seed)
-    if kind == "chain":
-        return gen_chain(int(kv["n"]))
+    if kind in ("qaoa", "chain"):
+        if "n" not in kv:
+            raise ValueError(f"generator {kind!r} needs n=N")
+        n = int(kv["n"])
+        return gen_qaoa(n, seed) if kind == "qaoa" else gen_chain(n)
     raise ValueError(f"unknown generator {kind!r}")
 
 
@@ -253,6 +256,8 @@ def _run_bench_job(job: dict) -> dict:
 def cmd_bench(suite: str, devices: list[str], depths: list[int], sizes: list[int],
               seeds: int, modes: list[str], density: float = 0.5,
               out: str | None = None, budget_scale: float = 0.01) -> int:
+    if not modes or not set(modes) <= set(_SOLVE_MODES):
+        raise ValueError(f"--modes must list one or more of {', '.join(_SOLVE_MODES)}, not {modes}")
     jobs = _bench_jobs(suite, devices, depths, sizes, seeds, modes, density)
     for job in jobs:
         job["budget_scale"] = budget_scale
@@ -326,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="grid:N | path:N | sycamore | eagle | file:PATH")
     pc.add_argument("--circuit", help="QASM or circuit-JSON file")
     pc.add_argument("--gen", help="queko:depth=D,density=X | qaoa:n=N | chain:n=N")
-    pc.add_argument("--mode", default="vcycle", choices=["srefine", "vcycle", "exact", "verify"])
+    pc.add_argument("--mode", default="vcycle", choices=[*_SOLVE_MODES, "verify"])
     pc.add_argument("--solution", help="solution JSON for --mode verify")
     pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--budget-scale", type=float, default=0.01)

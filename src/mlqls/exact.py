@@ -22,16 +22,26 @@ from .model import Circuit, CouplingGraph, Mapping, build_dag, make_device
 from .verify import QlsSolution, SolutionBuilder, SwapOp, asap_depth, swap_count, verify
 
 
+# Largest instance the solver accepts; the V cycle coarsens until its
+# coarsest level fits.
+MAX_QUBITS = 16
+MAX_GATES = 50
+
+
 class InstanceTooLarge(ValueError):
-    """Instance exceeds the configured exact-solver limits."""
+    """Instance exceeds the exact-solver limits."""
+
+
+def fits_exact(circuit: Circuit) -> bool:
+    """True when the circuit is within the exact solver's size limits
+    (``MAX_QUBITS`` program qubits, ``MAX_GATES`` gates)."""
+    return circuit.num_qubits <= MAX_QUBITS and len(circuit.gates) <= MAX_GATES
 
 
 @dataclass
 class ExactConfig:
-    """Size limits and runtime budgets for the exact solver."""
+    """Runtime budgets for the exact solver."""
 
-    max_qubits: int = 16
-    max_gates: int = 50
     post_first_solution_budget: float = 100.0
     overall_budget: float = 300.0
 
@@ -68,10 +78,10 @@ def solve_exact(
     ``warm_start`` solution tightens the incumbent from the outset.
     """
     cfg = cfg or ExactConfig()
-    if circuit.num_qubits > cfg.max_qubits or len(circuit.gates) > cfg.max_gates:
+    if not fits_exact(circuit):
         raise InstanceTooLarge(
             f"{circuit.num_qubits} qubits / {len(circuit.gates)} gates exceed "
-            f"limits ({cfg.max_qubits}, {cfg.max_gates})"
+            f"limits ({MAX_QUBITS}, {MAX_GATES})"
         )
     if circuit.num_qubits > graph.num_physical:
         raise ValueError("more program qubits than physical qubits")

@@ -1,4 +1,4 @@
-"""Two-stage multilevel flow: standalone synthesis, then V cycles of
+"""Two-stage multilevel flow: standalone synthesis, then one V cycle of
 coarsen -> exact coarsest solve -> interpolate -> refine.
 
 Each stage yields a full verified solution; the best one (fewest SWAPs, then
@@ -21,7 +21,7 @@ from .cluster import (
     induced_coarse_mapping,
     interpolate,
 )
-from .exact import ExactConfig, solve_exact
+from .exact import ExactConfig, fits_exact, solve_exact
 from .model import Circuit, CouplingGraph, Mapping
 from .srefine import SrefineConfig, srefine_run
 from .verify import QlsSolution, asap_depth, swap_count, verify
@@ -43,20 +43,11 @@ def compression_guard(hierarchy: LevelHierarchy) -> bool:
 
 @dataclass
 class FlowConfig:
-    coarsest_qubit_limit: int = 16
-    coarsest_gate_limit: int = 50
-    num_vcycles: int = 1
     seed: int = 0
     srefine: SrefineConfig = field(default_factory=SrefineConfig)
     exact: ExactConfig = field(  # desk-scale budgets
         default_factory=lambda: ExactConfig(post_first_solution_budget=1.0, overall_budget=5.0)
     )
-
-    def __post_init__(self) -> None:
-        if self.coarsest_qubit_limit < 2 or self.coarsest_gate_limit < 2:
-            raise ValueError("coarsest limits must be >= 2")
-        if self.num_vcycles < 0:
-            raise ValueError("num_vcycles must be >= 0")
 
 
 @dataclass
@@ -89,7 +80,8 @@ class FlowResult:
 
 
 def run_mlqls(circuit: Circuit, graph: CouplingGraph, cfg: FlowConfig | None = None) -> FlowResult:
-    """Run the full two-stage flow and return every stage's best solution."""
+    """Run the full two-stage flow (srefine, then one V cycle) and return
+    every stage's best solution."""
     cfg = cfg or FlowConfig()
     if circuit.num_qubits > graph.num_physical:
         raise ValueError("more program qubits than physical qubits")
@@ -100,24 +92,16 @@ def run_mlqls(circuit: Circuit, graph: CouplingGraph, cfg: FlowConfig | None = N
     initial = srefine_run(circuit, graph, None, cfg.srefine, random.Random(rng.randrange(1 << 62)))
     stats.append(StageStat("srefine", swap_count(initial), initial.depth, time.monotonic() - t0))
 
-    best = initial
-    hierarchy = LevelHierarchy([Level(circuit, graph, None, None)])
     if swap_count(initial) == 0:  # already optimal; nothing to refine
+        hierarchy = LevelHierarchy([Level(circuit, graph, None, None)])
         return FlowResult(initial, initial, hierarchy, stats)
-    for cycle in range(cfg.num_vcycles):
-        t0 = time.monotonic()
-        hierarchy = _build_hierarchy(circuit, graph, best.block_mappings[0], cfg)
-        candidate = _solve_hierarchy(hierarchy, cfg, rng)
-        stats.append(
-            StageStat(
-                f"vcycle{cycle + 1}",
-                swap_count(candidate),
-                candidate.depth,
-                time.monotonic() - t0,
-            )
-        )
-        if _better(circuit, candidate, best):
-            best = candidate
+    t0 = time.monotonic()
+    hierarchy = _build_hierarchy(circuit, graph, initial.block_mappings[0])
+    candidate = _solve_hierarchy(hierarchy, cfg, rng)
+    stats.append(
+        StageStat("vcycle1", swap_count(candidate), candidate.depth, time.monotonic() - t0)
+    )
+    best = candidate if _better(circuit, candidate, initial) else initial
     return FlowResult(initial, best, hierarchy, stats)
 
 
@@ -127,21 +111,13 @@ def _better(circuit: Circuit, a: QlsSolution, b: QlsSolution) -> bool:
     return ka < kb
 
 
-def _build_hierarchy(
-    circuit: Circuit,
-    graph: CouplingGraph,
-    guide: Mapping,
-    cfg: FlowConfig,
-) -> LevelHierarchy:
+def _build_hierarchy(circuit: Circuit, graph: CouplingGraph, guide: Mapping) -> LevelHierarchy:
     """Cluster repeatedly, guided by the current solution's first-block
     mapping, until the coarsest instance fits the exact-solver limits or
     compression stalls."""
     hierarchy = LevelHierarchy([Level(circuit, graph, None, None)])
     cur_c, cur_g, cur_m = circuit, graph, guide
-    while (
-        cur_c.num_qubits > cfg.coarsest_qubit_limit
-        or len(cur_c.gates) > cfg.coarsest_gate_limit
-    ) and len(hierarchy) < _MAX_LEVELS:
+    while not fits_exact(cur_c) and len(hierarchy) < _MAX_LEVELS:
         prog_cm = cluster_program(cur_c, cur_m, cur_g)
         phys_cm = cluster_physical(cur_g, prog_cm, cur_m)
         coarse_c, coarse_g = coarsen(cur_c, cur_g, prog_cm, phys_cm)
@@ -157,8 +133,6 @@ def _build_hierarchy(
 def _quick_srefine(base: SrefineConfig) -> SrefineConfig:
     """Cheap configuration for warm-starting the exact coarsest solve."""
     return SrefineConfig(
-        sa=base.sa,
-        astar=base.astar,
         candidates=2,
         mapper_first_budget=min(base.mapper_first_budget, 1.0),
         mapper_next_budget=min(base.mapper_next_budget, 0.5),
@@ -171,10 +145,7 @@ def _solve_hierarchy(
     """Solve the coarsest level (exactly when it fits), then interpolate and
     refine back down to the finest level."""
     coarsest = hierarchy.levels[-1]
-    if (
-        coarsest.circuit.num_qubits <= cfg.exact.max_qubits
-        and len(coarsest.circuit.gates) <= cfg.exact.max_gates
-    ):
+    if fits_exact(coarsest.circuit):
         warm = srefine_run(
             coarsest.circuit,
             coarsest.graph,

@@ -16,7 +16,7 @@ import itertools
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cluster import MappingRegion
 from .model import Circuit, CouplingGraph, Mapping, build_dag, uncommon_qubits
@@ -25,49 +25,28 @@ from .verify import QlsSolution, SolutionBuilder, SwapOp, asap_depth, swap_count
 _MAPPER_NODES_PER_SECOND = 50_000
 _MAPPER_QUBIT_LIMIT = 100  # larger circuits start from random placements
 
+# Annealing cost and schedule.
+_GATE_WEIGHT_DECAY = 0.9  # a gate's terms weigh decay ** (its two-qubit depth)
+_REGION_BIAS = 0.1  # probability of proposing an out-of-region target
+_SA_MOVES_PER_QUBIT_PAIR = 50  # annealing runs this * |Q|^2 moves
+_SA_PROBE_MOVES = 100  # random moves that calibrate the initial temperature T0
+_SA_FINAL_TEMP_RATIO = 1e-3  # geometric cooling reaches T0/1000 by the last move
 
-@dataclass
-class SaConfig:
-    """Annealing schedule and cost parameters for the initial mapping."""
-
-    gate_weight_decay: float = 0.9
-    iterations: int | None = None  # default: 50 * |Q|^2 moves
-    initial_temp: float | None = None  # default: calibrated on a 100-move probe
-    cooling: float | None = None  # default: reach T0/1000 by the last move
-    region_bias: float = 0.1  # probability of proposing an out-of-region target
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.gate_weight_decay < 1.0:
-            raise ValueError("gate_weight_decay must be in (0,1)")
-        if not 0.0 < self.region_bias < 1.0:
-            raise ValueError("region_bias must be in (0,1)")
-
-
-@dataclass
-class AStarConfig:
-    """Search parameters for SWAP-insertion routing."""
-
-    alpha: float = 0.5
-    beta: float = 0.5
-    gamma: float = 0.1
-    state_threshold: int = 100  # trim the frontier beyond this many open states
-    trim_keep: int = 50
-    region_escape_prob: float = 0.1
-    max_candidate_gates: int = 16  # cap on ready gates generating candidate SWAPs
-
-    def __post_init__(self) -> None:
-        if self.state_threshold < self.trim_keep or self.trim_keep < 1:
-            raise ValueError("need state_threshold >= trim_keep >= 1")
-        if min(self.alpha, self.beta, self.gamma) < 0:
-            raise ValueError("weights must be non-negative")
+# Routing heuristic weights and search limits.
+_ALPHA = 0.5  # one-hop gate distance
+_BETA = 0.5  # one-hop related-qubit distance
+_GAMMA = 0.1  # per gate not yet executed
+_STATE_THRESHOLD = 100  # trim the frontier beyond this many open states
+_TRIM_KEEP = 50  # open states kept by a trim
+_REGION_ESCAPE_PROB = 0.1  # probability of trying a SWAP that leaves a region
+_MAX_CANDIDATE_GATES = 16  # cap on ready gates generating candidate SWAPs
+_MAX_PASSES = 20  # forward/backward routing passes
 
 
 @dataclass
 class SrefineConfig:
-    """Bundle of knobs for a full synthesis run."""
+    """Candidate count and mapper budgets for a full synthesis run."""
 
-    sa: SaConfig = field(default_factory=SaConfig)
-    astar: AStarConfig = field(default_factory=AStarConfig)
     candidates: int = 5
     mapper_first_budget: float = 10.0
     mapper_next_budget: float = 1.0
@@ -78,7 +57,7 @@ class SrefineConfig:
 # ---------------------------------------------------------------------------
 
 
-def _cost_terms(circuit: Circuit, decay: float) -> list[tuple[float, int, int]]:
+def _cost_terms(circuit: Circuit) -> list[tuple[float, int, int]]:
     """Weighted distance terms: one per two-qubit gate, plus one per
     (gate, parent) related-qubit pair."""
     dag = build_dag(circuit)
@@ -86,7 +65,7 @@ def _cost_terms(circuit: Circuit, decay: float) -> list[tuple[float, int, int]]:
     for g in circuit.gates:
         if not g.is_two_qubit:
             continue
-        w = decay ** dag.depth2[g.id]
+        w = _GATE_WEIGHT_DECAY ** dag.depth2[g.id]
         terms.append((w, g.qubits[0], g.qubits[1]))
         for pid in dag.parents2[g.id]:
             pair = uncommon_qubits(g, circuit.gates[pid])
@@ -95,18 +74,14 @@ def _cost_terms(circuit: Circuit, decay: float) -> list[tuple[float, int, int]]:
     return terms
 
 
-def sa_cost(
-    circuit: Circuit,
-    mapping: Mapping,
-    graph: CouplingGraph,
-    cfg: SaConfig | None = None,
-) -> float:
+def _terms_cost(terms: list[tuple[float, int, int]], pos, dist) -> float:
+    return sum(w * dist[pos[a]][pos[b]] for w, a, b in terms)
+
+
+def sa_cost(circuit: Circuit, mapping: Mapping, graph: CouplingGraph) -> float:
     """Distance cost of a mapping: decayed gate distances plus related-qubit
     distances for consecutive gates sharing a qubit."""
-    cfg = cfg or SaConfig()
-    dist = graph.dist
-    pos = mapping.assignment
-    return sum(w * dist[pos[a]][pos[b]] for w, a, b in _cost_terms(circuit, cfg.gate_weight_decay))
+    return _terms_cost(_cost_terms(circuit), mapping.assignment, graph.dist)
 
 
 def sa_initial_mapping(
@@ -114,21 +89,20 @@ def sa_initial_mapping(
     graph: CouplingGraph,
     start: Mapping,
     regions: MappingRegion | None = None,
-    cfg: SaConfig | None = None,
     rng: random.Random | None = None,
 ) -> Mapping:
     """Simulated annealing over mappings; a move relocates one qubit to a free
     position or exchanges it with the occupant. Returns the best mapping seen.
 
     With regions, in-region targets are proposed with probability
-    ``1 - region_bias``.
+    ``1 - _REGION_BIAS``. The initial temperature accepts the probe's mean
+    uphill move with probability 1/2.
     """
-    cfg = cfg or SaConfig()
     rng = rng or random.Random(0)
     n = circuit.num_qubits
     num_p = graph.num_physical
     dist = graph.dist
-    terms = _cost_terms(circuit, cfg.gate_weight_decay)
+    terms = _cost_terms(circuit)
     by_qubit: list[list[int]] = [[] for _ in range(n)]
     for idx, (_, a, b) in enumerate(terms):
         by_qubit[a].append(idx)
@@ -141,14 +115,14 @@ def sa_initial_mapping(
     occ = [-1] * num_p
     for q, p in enumerate(pos):
         occ[p] = q
-    cur = sum(w * dist[pos[a]][pos[b]] for w, a, b in terms)
+    cur = _terms_cost(terms, pos, dist)
     best_cost = cur
     best_pos = pos[:]
-    iters = cfg.iterations if cfg.iterations is not None else 50 * n * n
+    iters = _SA_MOVES_PER_QUBIT_PAIR * n * n
 
     def propose() -> tuple[int, int]:
         q = rng.randrange(n)
-        if region_lists is not None and rng.random() >= cfg.region_bias:
+        if region_lists is not None and rng.random() >= _REGION_BIAS:
             p = region_lists[q][rng.randrange(len(region_lists[q]))]
         else:
             p = rng.randrange(num_p)
@@ -170,22 +144,18 @@ def sa_initial_mapping(
             pos[r] = p
         return after - before, r
 
-    temp = cfg.initial_temp
-    if temp is None:
-        probe_rng = random.Random(rng.randrange(1 << 62))
-        uphill = []
-        for _ in range(100):
-            q = probe_rng.randrange(n)
-            p = probe_rng.randrange(num_p)
-            if p == pos[q]:
-                continue
-            d, _ = move_delta(q, p)
-            if d > 0:
-                uphill.append(d)
-        temp = (sum(uphill) / len(uphill)) / math.log(2) if uphill else 1.0
-    cooling = cfg.cooling
-    if cooling is None:
-        cooling = (1e-3) ** (1.0 / max(iters, 1))
+    probe_rng = random.Random(rng.randrange(1 << 62))
+    uphill = []
+    for _ in range(_SA_PROBE_MOVES):
+        q = probe_rng.randrange(n)
+        p = probe_rng.randrange(num_p)
+        if p == pos[q]:
+            continue
+        d, _ = move_delta(q, p)
+        if d > 0:
+            uphill.append(d)
+    temp = (sum(uphill) / len(uphill)) / math.log(2) if uphill else 1.0
+    cooling = _SA_FINAL_TEMP_RATIO ** (1.0 / max(iters, 1))
 
     for _ in range(iters):
         q, p = propose()
@@ -277,16 +247,10 @@ class AStarState:
     h_cost: float = 0.0
 
 
-def heuristic_h(
-    state: AStarState,
-    circuit: Circuit,
-    graph: CouplingGraph,
-    cfg: AStarConfig | None = None,
-) -> float:
+def heuristic_h(state: AStarState, circuit: Circuit, graph: CouplingGraph) -> float:
     """Four-term lookahead estimate: normalized ready-gate distance, one-hop
     child distance, related-qubit distance, and the count of gates not yet
     executed. Empty gate sets contribute zero."""
-    cfg = cfg or AStarConfig()
     dag = build_dag(circuit)
     dist = graph.dist
     pos = state.mapping.assignment
@@ -310,8 +274,8 @@ def heuristic_h(
                 pair = uncommon_qubits(circuit.gates[gid], circuit.gates[pid])
                 if pair is not None:
                     s3 += dist[pos[pair[0]]][pos[pair[1]]]
-        h += (cfg.alpha * s2 + cfg.beta * s3) / (len(onehop) * nq)
-    h += cfg.gamma * (len(state.ready) + len(state.unexecuted))
+        h += (_ALPHA * s2 + _BETA * s3) / (len(onehop) * nq)
+    h += _GAMMA * (len(state.ready) + len(state.unexecuted))
     return h
 
 
@@ -339,16 +303,9 @@ class _Node:
 class _RouteContext:
     """Static data shared by all nodes of one routing run."""
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        graph: CouplingGraph,
-        cfg: AStarConfig,
-        regions: MappingRegion | None,
-    ):
+    def __init__(self, circuit: Circuit, graph: CouplingGraph, regions: MappingRegion | None):
         self.circuit = circuit
         self.graph = graph
-        self.cfg = cfg
         self.regions = regions
         self.dist = graph.dist
         self.neighbors = graph.neighbors
@@ -441,13 +398,12 @@ class _RouteContext:
         )
 
     def _node_h(self, node: _Node) -> float:
-        cfg = self.cfg
         h = 0.0
         if node.ready:
             h += node.rsum / (len(node.ready) * self.nq)
         if node.onehop:
-            h += (cfg.alpha * node.osum + cfg.beta * node.psum) / (len(node.onehop) * self.nq)
-        h += cfg.gamma * (self.num2 - node.exec2)
+            h += (_ALPHA * node.osum + _BETA * node.psum) / (len(node.onehop) * self.nq)
+        h += _GAMMA * (self.num2 - node.exec2)
         return h
 
     def make_child(self, node: _Node, a: int, b: int) -> _Node:
@@ -518,12 +474,11 @@ class _RouteContext:
     def candidate_edges(self, node: _Node) -> list[tuple[int, int]]:
         """Edges touching the target qubits of (the most urgent) ready gates."""
         ready = node.ready
-        cap = self.cfg.max_candidate_gates
-        if cap and len(ready) > cap:
+        if len(ready) > _MAX_CANDIDATE_GATES:
             dist = self.dist
             pos = node.pos
             chosen = heapq.nsmallest(
-                cap,
+                _MAX_CANDIDATE_GATES,
                 ready,
                 key=lambda gid: (dist[pos[self.q2[gid][0]]][pos[self.q2[gid][1]]], gid),
             )
@@ -566,7 +521,7 @@ class _RouteContext:
                     if q != -1 and new_p not in regions[q]:
                         escapes = True
                         break
-                if escapes and rng.random() >= self.cfg.region_escape_prob:
+                if escapes and rng.random() >= _REGION_ESCAPE_PROB:
                     continue
             children.append(self.make_child(node, a, b))
         return children
@@ -577,7 +532,6 @@ def astar_insert(
     graph: CouplingGraph,
     m0: Mapping,
     regions: MappingRegion | None = None,
-    cfg: AStarConfig | None = None,
     rng: random.Random | None = None,
 ) -> QlsSolution:
     """Route a circuit from a fixed initial mapping by searching over SWAP
@@ -587,18 +541,17 @@ def astar_insert(
     search, the best partial state is committed and the cheapest SWAP is
     forced, so progress never stalls.
     """
-    cfg = cfg or AStarConfig()
     rng = rng or random.Random(0)
     if circuit.num_qubits > graph.num_physical:
         raise ValueError("more program qubits than physical qubits")
-    ctx = _RouteContext(circuit, graph, cfg, regions)
+    ctx = _RouteContext(circuit, graph, regions)
     builder = SolutionBuilder(ctx.num_gates, m0)
     node = ctx.make_root(m0)
     for gid in node.done_here:
         builder.execute(gid)
     forced_streak = 0
     while node.exec_count < ctx.num_gates:
-        goal, partial = _episode(ctx, node, cfg, rng)
+        goal, partial = _episode(ctx, node, rng)
         if goal is not None:
             _commit_path(builder, node, goal)
             node = goal
@@ -629,7 +582,7 @@ def astar_insert(
     return sol
 
 
-def _episode(ctx: _RouteContext, root: _Node, cfg: AStarConfig, rng: random.Random):
+def _episode(ctx: _RouteContext, root: _Node, rng: random.Random):
     """One best-first search run; returns (goal, best_partial)."""
     seq = itertools.count()
     open_heap = [(root.h, -root.exec_count, next(seq), root)]
@@ -654,8 +607,8 @@ def _episode(ctx: _RouteContext, root: _Node, cfg: AStarConfig, rng: random.Rand
                 open_heap,
                 (child.g_cost + child.h, -child.exec_count, next(seq), child),
             )
-        if len(open_heap) > cfg.state_threshold:
-            open_heap = heapq.nsmallest(cfg.trim_keep, open_heap)
+        if len(open_heap) > _STATE_THRESHOLD:
+            open_heap = heapq.nsmallest(_TRIM_KEEP, open_heap)
             heapq.heapify(open_heap)
     return None, best_partial
 
@@ -719,9 +672,7 @@ def forward_backward(
     graph: CouplingGraph,
     m0: Mapping,
     regions: MappingRegion | None = None,
-    cfg: AStarConfig | None = None,
     rng: random.Random | None = None,
-    max_passes: int = 20,
 ) -> QlsSolution:
     """Alternate forward and reversed compilation passes, each starting from
     the previous final mapping, until the SWAP count stops improving; the best
@@ -733,9 +684,9 @@ def forward_backward(
     best_n = None
     prev = None
     forward = True
-    for _ in range(max_passes):
+    for _ in range(_MAX_PASSES):
         circ = circuit if forward else rev
-        sol = astar_insert(circ, graph, mapping, regions, cfg, rng)
+        sol = astar_insert(circ, graph, mapping, regions, rng)
         n = swap_count(sol)
         oriented = sol if forward else reverse_solution(sol)
         if best_n is None or n < best_n:
@@ -797,11 +748,12 @@ def _initial_mapper_ex(
     best_map: Mapping | None = None
     best_cost = math.inf
     total = len({(min(g.qubits), max(g.qubits)) for g in order})
+    terms = _cost_terms(circuit)
 
     def consider(candidate: dict[int, int]) -> None:
         nonlocal best_map, best_cost
         full = _extend_partial(candidate, circuit.num_qubits, graph)
-        cost = sa_cost(circuit, full, graph)
+        cost = _terms_cost(terms, full.assignment, graph.dist)
         if cost < best_cost:
             best_cost = cost
             best_map = full
@@ -941,6 +893,8 @@ def srefine_run(
         raise ValueError("more program qubits than physical qubits")
     best: QlsSolution | None = None
     best_n = None
+    # Region matching draws no random numbers, so every candidate shares it.
+    matched = initial_matching(regions, graph) if regions is not None else None
     for i in range(cfgs.candidates):
         crng = random.Random(rng.randrange(1 << 62))
         embedded_all = False
@@ -953,15 +907,15 @@ def srefine_run(
             if start is None:
                 start = Mapping(tuple(crng.sample(range(graph.num_physical), circuit.num_qubits)))
         else:
-            start = initial_matching(regions, graph)
-        annealed = sa_initial_mapping(circuit, graph, start, regions, cfgs.sa, crng)
+            start = matched
+        annealed = sa_initial_mapping(circuit, graph, start, regions, crng)
         candidates = [annealed]
         # A start that already executes every gate routes SWAP-free; keep it
         # alongside the annealed mapping rather than risk losing it.
         if embedded_all and annealed.assignment != start.assignment:
             candidates.append(start)
         for m in candidates:
-            sol = forward_backward(circuit, graph, m, regions, cfgs.astar, crng)
+            sol = forward_backward(circuit, graph, m, regions, crng)
             n = swap_count(sol)
             if best_n is None or n < best_n:
                 best, best_n = sol, n

@@ -215,6 +215,8 @@ def test_bench_exact_uses_budget_scale(tmp_path, monkeypatch):
     assert seen[0].post_first_solution_budget == pytest.approx(100 * scale)
 
 
+# A malformed input is either an edit that breaks a compiled bundle, which
+# is then re-verified, or a compile command line.
 _MALFORMED = {
     "bundle_without_gate_block": lambda b: b["solution"].pop("gate_block"),
     "string_mapping": lambda b: b["solution"]["blocks"][0].update(mapping="0123"),
@@ -222,26 +224,45 @@ _MALFORMED = {
     "circuit_without_gates": lambda b: b["circuit"].pop("gates"),
     "three_element_device_edge": lambda b: b["device"]["edges"][0].append(2),
     "bundle_without_device": lambda b: b.pop("device"),
+    "qaoa_gen_without_n": ["compile", "--device", "grid:3", "--gen", "qaoa:", "--mode", "srefine"],
+    "chain_gen_without_n": ["compile", "--device", "grid:3", "--gen", "chain:", "--mode", "srefine"],
 }
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
 def test_malformed_bundle_exits_2(tmp_path, capsys, case):
-    out = tmp_path / "sol.json"
-    rc = main(
-        [
-            "compile", "--device", "path:4", "--gen", "chain:n=4", "--mode", "srefine",
-            "--budget-scale", "0.001", "--out", str(out),
-        ]
-    )
-    assert rc == 0
-    bundle = json.loads(out.read_text())
-    _MALFORMED[case](bundle)
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(bundle))
+    malformed = _MALFORMED[case]
+    argv = malformed
+    if callable(malformed):
+        out = tmp_path / "sol.json"
+        rc = main(
+            [
+                "compile", "--device", "path:4", "--gen", "chain:n=4", "--mode", "srefine",
+                "--budget-scale", "0.001", "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        bundle = json.loads(out.read_text())
+        malformed(bundle)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(bundle))
+        argv = ["compile", "--mode", "verify", "--solution", str(bad)]
     capsys.readouterr()
-    assert main(["compile", "--mode", "verify", "--solution", str(bad)]) == 2
+    assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("modes", [",", "srefine,greedy"])
+def test_bench_rejects_bad_modes_before_any_job(capsys, monkeypatch, modes):
+    import mlqls.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "_solve", lambda *args: calls.append(args))
+    monkeypatch.delenv("MLQLS_THREADS", raising=False)
+    rc = main(["bench", "--suite", "chain", "--sizes", "4", "--modes", modes])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
 
 
 def test_queko_bench_counts_rows(tmp_path):

@@ -119,9 +119,8 @@ class TestSolveExact:
         c = Circuit.from_pairs(4, [(0, 1)] * 51)
         with pytest.raises(InstanceTooLarge):
             solve_exact(c, path4)
-        cfg = ExactConfig(max_qubits=3)
         with pytest.raises(InstanceTooLarge):
-            solve_exact(Circuit.from_pairs(4, [(0, 1)]), path4, cfg)
+            solve_exact(Circuit.from_pairs(17, [(0, 1)]), make_device("grid", 5))
 
     def test_more_program_than_physical(self):
         p2 = make_device("path", 2)

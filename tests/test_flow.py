@@ -10,16 +10,15 @@ from mlqls import (
     gen_queko,
     make_device,
 )
-from mlqls.exact import ExactConfig
+from mlqls.exact import MAX_QUBITS, ExactConfig
 from mlqls.flow import FlowConfig, compression_guard, run_mlqls
 from mlqls.srefine import SrefineConfig
 from mlqls.verify import solution_to_json, swap_count, verify
 
 
-def fast_cfg(seed=0, vcycles=1):
+def fast_cfg(seed=0):
     return FlowConfig(
         seed=seed,
-        num_vcycles=vcycles,
         srefine=SrefineConfig(
             candidates=2, mapper_first_budget=0.5, mapper_next_budget=0.2
         ),
@@ -70,9 +69,8 @@ class TestRunMlqls:
     def test_hierarchy_depth_bound(self):
         g6 = make_device("grid", 6)
         c = gen_qaoa(36, seed=1)
-        cfg = fast_cfg(1)
-        r = run_mlqls(c, g6, cfg)
-        bound = math.ceil(math.log2(36 / cfg.coarsest_qubit_limit)) + 2
+        r = run_mlqls(c, g6, fast_cfg(1))
+        bound = math.ceil(math.log2(36 / MAX_QUBITS)) + 2
         assert len(r.levels) <= bound
 
     def test_deterministic_per_seed(self, grid4):
@@ -88,20 +86,9 @@ class TestRunMlqls:
         with pytest.raises(ValueError):
             run_mlqls(Circuit.from_pairs(5, [(0, 1)]), path4, fast_cfg())
 
-    def test_zero_vcycles_returns_initial(self, grid3):
-        c = gen_qaoa(8, seed=0)
-        r = run_mlqls(c, grid3, FlowConfig(seed=0, num_vcycles=0, srefine=SrefineConfig(candidates=1, mapper_first_budget=0.3)))
-        assert r.final == r.initial
-
     def test_stats_and_json(self, grid4):
         c, _ = gen_queko(grid4, 4, 0.5, seed=2)
         r = run_mlqls(c, grid4, fast_cfg())
         data = r.to_json()
         assert data["stats"][0]["stage"] == "srefine"
         assert "levels" in data
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            FlowConfig(coarsest_qubit_limit=1)
-        with pytest.raises(ValueError):
-            FlowConfig(num_vcycles=-1)

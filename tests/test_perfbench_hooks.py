@@ -1,12 +1,21 @@
 """The compile benchmark in perfbench/ traces package callables by module and
-attribute name. A renamed or removed callable would leave its layer at zero
-in a traced run instead of failing, so check every name here."""
+attribute name, and builds solver configs by field name. A renamed or removed
+callable would leave its layer at zero in a traced run instead of failing,
+and a removed config field would fail only the benchmark run, so check both
+here."""
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
-_SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+import pytest
+
+_ROOT = Path(__file__).resolve().parents[1]
+_SPANS = _ROOT / "perfbench" / "spans.py"
+_WORKLOADS = ("qaoa-vcycle", "queko-zero", "route-noncomm", "exact-small")
 
 
 def test_every_traced_layer_is_a_package_callable():
@@ -20,3 +29,16 @@ def test_every_traced_layer_is_a_package_callable():
         if not callable(getattr(importlib.import_module(f"mlqls.{module}"), attr, None))
     ]
     assert not missing, missing
+
+
+@pytest.mark.parametrize("workload", _WORKLOADS)
+def test_benchmark_smoke_run_is_correct(workload):
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
+         "--seconds", "1", "--trace", "0", "--smoke"],
+        cwd=_ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"], proc.stderr
+    assert result["failed"] == 0

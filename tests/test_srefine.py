@@ -6,9 +6,8 @@ import pytest
 from mlqls import Circuit, Mapping, MappingRegion, gen_queko, make_device
 from mlqls.exact import optimal_oracle
 from mlqls.srefine import (
-    AStarConfig,
+    _GAMMA,
     AStarState,
-    SaConfig,
     SrefineConfig,
     _RouteContext,
     astar_insert,
@@ -50,7 +49,6 @@ class TestSaCost:
     def test_spread_optimizes_gate_distance_only(self, grid3):
         # without the related-qubit term, spread is at least as good
         c = star_circuit()
-        cfg = SaConfig()
         gate_only = lambda m: sum(
             0.9**i * grid3.dist[m[0]][m[i + 1]] for i in range(7)
         )
@@ -101,7 +99,6 @@ class TestSaInitialMapping:
             grid3,
             Mapping((0, 1)),
             regions,
-            SaConfig(iterations=500),
             random.Random(2),
         )
         assert sa_cost(c, out, grid3) == 1.0
@@ -162,12 +159,12 @@ class TestHeuristic:
         s2 = AStarState(None, frozenset({0}), frozenset({1}), Mapping((0, 1, 2, 3)), None, 0)
         h1 = heuristic_h(s1, c, path4)
         h2 = heuristic_h(s2, c, path4)
-        assert h2 - h1 == pytest.approx(AStarConfig().gamma)
+        assert h2 - h1 == pytest.approx(_GAMMA)
 
     def test_internal_root_matches_public_formula(self, grid3):
         c = Circuit.from_pairs(5, [(0, 4), (4, 2), (1, 3), (0, 2)])
         m0 = Mapping((0, 8, 6, 2, 4))
-        ctx = _RouteContext(c, grid3, AStarConfig(), None)
+        ctx = _RouteContext(c, grid3, None)
         root = ctx.make_root(m0)
         unexec = frozenset(
             gid
@@ -180,7 +177,7 @@ class TestHeuristic:
     def test_incremental_sums_match_recompute(self, grid3):
         rng = random.Random(0)
         c = Circuit.from_pairs(6, [(0, 1), (1, 2), (3, 4), (0, 5), (2, 4), (1, 5)])
-        ctx = _RouteContext(c, grid3, AStarConfig(), None)
+        ctx = _RouteContext(c, grid3, None)
         node = ctx.make_root(Mapping((0, 2, 6, 8, 4, 1)))
         for _ in range(40):
             edges = ctx.candidate_edges(node)
@@ -254,18 +251,8 @@ class TestAstarInsert:
         # the search must still terminate with a valid solution
         c = Circuit.from_pairs(3, [(0, 1), (1, 2), (0, 2)])
         tight = MappingRegion((frozenset({0}), frozenset({2}), frozenset({4})))
-        sol = astar_insert(
-            c, tshape5, Mapping((0, 2, 4)), tight, AStarConfig(), random.Random(0)
-        )
+        sol = astar_insert(c, tshape5, Mapping((0, 2, 4)), tight, random.Random(0))
         assert verify(c, tshape5, sol).ok
-
-    def test_unlimited_candidate_gates(self, grid3):
-        from mlqls import gen_qaoa
-
-        c = gen_qaoa(8, seed=2)
-        cfg = AStarConfig(max_candidate_gates=0)
-        sol = astar_insert(c, grid3, Mapping(tuple(range(8))), None, cfg, random.Random(0))
-        assert verify(c, grid3, sol).ok
 
 
 class TestForwardBackward:
@@ -388,17 +375,3 @@ class TestSrefineRun:
         a = srefine_run(c, grid3, None, cfg, random.Random(11))
         b = srefine_run(c, grid3, None, cfg, random.Random(11))
         assert a == b
-
-
-def test_astar_config_validated():
-    with pytest.raises(ValueError):
-        AStarConfig(state_threshold=10, trim_keep=20)
-    with pytest.raises(ValueError):
-        AStarConfig(gamma=-1)
-
-
-def test_sa_config_validated():
-    with pytest.raises(ValueError):
-        SaConfig(gate_weight_decay=1.5)
-    with pytest.raises(ValueError):
-        SaConfig(region_bias=0.0)
