@@ -11,7 +11,6 @@ import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from .exact import ExactConfig, solve_exact
 from .flow import FlowConfig, run_mlqls
@@ -46,21 +45,6 @@ _EXACT_POST_FIRST_SECONDS = 100.0
 _EXACT_OVERALL_SECONDS = 300.0
 
 _SOLVE_MODES = ("srefine", "vcycle", "exact")
-
-
-@dataclass
-class RunSpec:
-    """One compile invocation."""
-
-    mode: str
-    device: str | None = None
-    circuit_file: str | None = None
-    gen: str | None = None
-    solution_file: str | None = None
-    seed: int = 0
-    out: str | None = None
-    budget_scale: float = 0.01
-    dump_levels: bool = False
 
 
 def parse_device_spec(spec: str) -> CouplingGraph:
@@ -146,17 +130,18 @@ def _solve(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def cmd_compile(spec: RunSpec) -> int:
-    device = parse_device_spec(spec.device) if spec.device else None
-    if spec.mode == "verify":
-        return _cmd_verify(spec, device)
+def cmd_compile(args: argparse.Namespace) -> int:
+    """Run ``mlqls compile`` with its parsed command-line arguments."""
+    device = parse_device_spec(args.device) if args.device else None
+    if args.mode == "verify":
+        return _cmd_verify(args, device)
     if device is None:
         raise ValueError("--device is required")
-    circuit = build_circuit(device, spec.circuit_file, spec.gen, spec.seed)
+    circuit = build_circuit(device, args.circuit, args.gen, args.seed)
     t0 = time.monotonic()
-    sol, extra = _solve(spec.mode, circuit, device, spec.seed, spec.budget_scale)
+    sol, extra = _solve(args.mode, circuit, device, args.seed, args.budget_scale)
     seconds = time.monotonic() - t0
-    if not spec.dump_levels:
+    if not args.dump_levels:
         extra.pop("levels", None)
     report = verify(circuit, device, sol)
     if not report.ok:  # internal bug: solvers must emit valid solutions
@@ -167,37 +152,37 @@ def cmd_compile(spec: RunSpec) -> int:
         "circuit": circuit_to_json(circuit),
         "solution": solution_to_json(sol),
         "meta": {
-            "mode": spec.mode,
-            "seed": spec.seed,
+            "mode": args.mode,
+            "seed": args.seed,
             "swaps": swap_count(sol),
             "depth": sol.depth,
             "seconds": round(seconds, 3),
             **extra,
         },
     }
-    if spec.out:
-        with open(spec.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             json.dump(bundle, fh, indent=2)
     print(
-        f"mode={spec.mode} qubits={circuit.num_qubits} gates={len(circuit.gates)} "
+        f"mode={args.mode} qubits={circuit.num_qubits} gates={len(circuit.gates)} "
         f"swaps={swap_count(sol)} depth={sol.depth} seconds={seconds:.2f}"
     )
     return 0
 
 
-def _cmd_verify(spec: RunSpec, device: CouplingGraph | None) -> int:
-    if not spec.solution_file:
+def _cmd_verify(args: argparse.Namespace, device: CouplingGraph | None) -> int:
+    if not args.solution:
         raise ValueError("--mode verify requires --solution")
-    with open(spec.solution_file) as fh:
+    with open(args.solution) as fh:
         data = json.load(fh)
     if isinstance(data, dict) and "solution" in data:  # bundle written by cmd_compile
         circuit = circuit_from_json(data.get("circuit"))
         device = device_from_json(data.get("device"))
         sol = solution_from_json(data["solution"])
     else:
-        if spec.circuit_file is None or device is None:
+        if args.circuit is None or device is None:
             raise ValueError("bare solution file needs --circuit and --device")
-        circuit = build_circuit(device, spec.circuit_file, spec.gen, spec.seed)
+        circuit = build_circuit(device, args.circuit, args.gen, args.seed)
         sol = solution_from_json(data)
     report = verify(circuit, device, sol)
     if report.ok:
@@ -226,10 +211,12 @@ def _bench_jobs(suite: str, devices: list[str], depths: list[int], sizes: list[i
             for dev in devices for depth in depths for seed in range(seeds)
         ]
     elif suite in ("qaoa", "chain"):
+        # Without --devices, each size gets the smallest square grid that holds it.
         instances = [
-            (devices[0] if devices else f"grid:{math.isqrt(n - 1) + 1}", f"{suite}:n={n}", seed,
-             f"qaoa_{n}_s{seed}" if suite == "qaoa" else f"chain_{n}")
-            for n in sizes for seed in range(seeds)
+            (dev, f"{suite}:n={n}", seed, f"qaoa_{n}_s{seed}" if suite == "qaoa" else f"chain_{n}")
+            for n in sizes
+            for dev in devices or [f"grid:{math.isqrt(n - 1) + 1}"]
+            for seed in range(seeds)
         ]
     else:
         raise ValueError(f"unknown suite {suite!r}")
@@ -256,8 +243,10 @@ def _run_bench_job(job: dict) -> dict:
 def cmd_bench(suite: str, devices: list[str], depths: list[int], sizes: list[int],
               seeds: int, modes: list[str], density: float = 0.5,
               out: str | None = None, budget_scale: float = 0.01) -> int:
-    if not modes or not set(modes) <= set(_SOLVE_MODES):
-        raise ValueError(f"--modes must list one or more of {', '.join(_SOLVE_MODES)}, not {modes}")
+    if not modes or not set(modes) <= set(_SOLVE_MODES) or len(set(modes)) < len(modes):
+        raise ValueError(
+            f"--modes must list one or more of {', '.join(_SOLVE_MODES)}, each once, not {modes}"
+        )
     jobs = _bench_jobs(suite, devices, depths, sizes, seeds, modes, density)
     for job in jobs:
         job["budget_scale"] = budget_scale
@@ -355,18 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "compile":
-            spec = RunSpec(
-                mode=args.mode,
-                device=args.device,
-                circuit_file=args.circuit,
-                gen=args.gen,
-                solution_file=args.solution,
-                seed=args.seed,
-                out=args.out,
-                budget_scale=args.budget_scale,
-                dump_levels=args.dump_levels,
-            )
-            return cmd_compile(spec)
+            return cmd_compile(args)
         devices = [d for d in args.devices.split(",") if d]
         depths = [int(x) for x in args.depths.split(",") if x]
         sizes = [int(x) for x in args.sizes.split(",") if x]

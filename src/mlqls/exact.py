@@ -6,6 +6,11 @@ physical positions lazily when a gate first needs them, SWAPs are branched
 inside inter-block gaps, and the incumbent SWAP count prunes the rest. The
 sweep stops once the incumbent is provably optimal (S <= B - 1).
 
+The starting incumbent, which is also the answer when the budget runs out
+first, is the caller's verified ``warm_start`` (the V cycle passes an sRefine
+solution), or else one ``srefine.astar_insert`` routing pass from a
+breadth-first placement.
+
 ``optimal_oracle`` is a deliberately independent check: exhaustive BFS over
 (total mapping, executed set) states with no pruning beyond visited-state
 deduplication. Keep it that way; it is the reference the solver is tested
@@ -19,7 +24,8 @@ import time
 from dataclasses import dataclass
 
 from .model import Circuit, CouplingGraph, Mapping, build_dag, make_device
-from .verify import QlsSolution, SolutionBuilder, SwapOp, asap_depth, swap_count, verify
+from .srefine import _extend_partial, astar_insert
+from .verify import QlsSolution, SwapOp, asap_depth, swap_count, verify
 
 
 # Largest instance the solver accepts; the V cycle coarsens until its
@@ -75,7 +81,8 @@ def solve_exact(
 
     Always returns a verified solution; ``timed_out`` marks best-so-far results
     whose optimality was not proven before the budget ran out. A verified
-    ``warm_start`` solution tightens the incumbent from the outset.
+    ``warm_start`` is the starting incumbent; without one, a single A*
+    routing pass from a breadth-first placement is.
     """
     cfg = cfg or ExactConfig()
     if not fits_exact(circuit):
@@ -86,13 +93,10 @@ def solve_exact(
     if circuit.num_qubits > graph.num_physical:
         raise ValueError("more program qubits than physical qubits")
 
-    incumbent = _greedy_route(circuit, graph)
-    if (
-        warm_start is not None
-        and swap_count(warm_start) < swap_count(incumbent)
-        and verify(circuit, graph, warm_start).ok
-    ):
+    if warm_start is not None and verify(circuit, graph, warm_start).ok:
         incumbent = warm_start
+    else:
+        incumbent = astar_insert(circuit, graph, _extend_partial({}, circuit.num_qubits, graph))
     best_s = swap_count(incumbent)
     start = time.monotonic()
     overall_deadline = start + cfg.overall_budget
@@ -383,26 +387,14 @@ class _BlockSearch:
             if final_pos[q] == -1:
                 final_pos[q] = next(it)
         num_blocks = last_block + 1
-        by_gap: dict[int, list[tuple[int, int]]] = {}
-        for sw in self.swaps:
-            by_gap.setdefault(sw.gap, []).append(sw.edge)
-        mappings = [None] * num_blocks
-        mappings[num_blocks - 1] = tuple(final_pos)
-        cur = list(final_pos)
-        for gap in range(num_blocks - 2, -1, -1):
-            for a, b in reversed(by_gap.get(gap, [])):
-                for q, p in enumerate(cur):
-                    if p == a:
-                        cur[q] = b
-                    elif p == b:
-                        cur[q] = a
-            mappings[gap] = tuple(cur)
-        sol = QlsSolution(
-            tuple(Mapping(m) for m in mappings),
-            tuple(self.gate_block),
-            tuple(sw for sw in self.swaps if sw.gap < num_blocks - 1),
-            None,
-        )
+        swaps = tuple(self.swaps)  # every gap is below last_block
+        # Undo every SWAP from the final placement, then replay gap by gap.
+        mapping = Mapping(tuple(final_pos)).apply_swaps(sw.edge for sw in reversed(swaps))
+        mappings = [mapping]
+        for gap in range(num_blocks - 1):
+            mapping = mapping.apply_swaps(sw.edge for sw in swaps if sw.gap == gap)
+            mappings.append(mapping)
+        sol = QlsSolution(tuple(mappings), tuple(self.gate_block), swaps, None)
         n = swap_count(sol)
         if self.best is None or n < swap_count(self.best):
             self.best = sol
@@ -425,88 +417,6 @@ def _symmetry_positions(graph: CouplingGraph) -> list[int] | None:
     if kind == "path":
         return list(range((n + 1) // 2))
     return [r * n + c for r in range(n) for c in range(n) if r <= c <= (n - 1) // 2]
-
-
-# ---------------------------------------------------------------------------
-# Greedy fallback router (upper bound / timeout floor)
-# ---------------------------------------------------------------------------
-
-
-def _greedy_route(circuit: Circuit, graph: CouplingGraph) -> QlsSolution:
-    """Route from a breadth-first placement by walking one blocked gate at a
-    time along shortest paths.
-
-    Never optimal, always valid; supplies the initial incumbent and the
-    timeout floor.
-    """
-    start = Mapping(tuple(_bfs_positions(graph)[: circuit.num_qubits]))
-    dag = build_dag(circuit)
-    indeg = dag.indegrees()
-    executed = [False] * len(circuit.gates)
-    builder = SolutionBuilder(len(circuit.gates), start)
-    pos = list(start.assignment)
-    occ = [-1] * graph.num_physical
-    for q, p in enumerate(pos):
-        occ[p] = q
-    remaining = len(circuit.gates)
-    dist = graph.dist
-
-    def run_ready() -> bool:
-        nonlocal remaining
-        progress = False
-        again = True
-        while again:
-            again = False
-            for g in circuit.gates:
-                if executed[g.id] or indeg[g.id] != 0:
-                    continue
-                if g.is_two_qubit:
-                    pa, pb = pos[g.qubits[0]], pos[g.qubits[1]]
-                    if dist[pa][pb] != 1:
-                        continue
-                executed[g.id] = True
-                builder.execute(g.id)
-                remaining -= 1
-                for s in dag.succs[g.id]:
-                    indeg[s] -= 1
-                progress = again = True
-        return progress
-
-    while remaining:
-        if run_ready():
-            continue
-        blocked = next(
-            g
-            for g in circuit.gates
-            if not executed[g.id] and indeg[g.id] == 0 and g.is_two_qubit
-        )
-        qa, qb = blocked.qubits
-        pa, pb = pos[qa], pos[qb]
-        step = min(graph.neighbors[pa], key=lambda nb: (dist[nb][pb], nb))
-        builder.add_swap((pa, step))
-        other = occ[step]
-        occ[pa], occ[step] = other, qa
-        pos[qa] = step
-        if other != -1:
-            pos[other] = pa
-    return builder.build()
-
-
-def _bfs_positions(graph: CouplingGraph) -> list[int]:
-    from collections import deque
-
-    seen = [False] * graph.num_physical
-    order: list[int] = []
-    queue = deque([0])
-    seen[0] = True
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        for v in graph.neighbors[u]:
-            if not seen[v]:
-                seen[v] = True
-                queue.append(v)
-    return order
 
 
 # ---------------------------------------------------------------------------

@@ -252,7 +252,7 @@ def test_malformed_bundle_exits_2(tmp_path, capsys, case):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("modes", [",", "srefine,greedy"])
+@pytest.mark.parametrize("modes", [",", "srefine,greedy", "srefine,srefine"])
 def test_bench_rejects_bad_modes_before_any_job(capsys, monkeypatch, modes):
     import mlqls.cli as cli
 
@@ -263,6 +263,16 @@ def test_bench_rejects_bad_modes_before_any_job(capsys, monkeypatch, modes):
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert calls == []
+
+
+def test_qaoa_bench_runs_every_device(tmp_path):
+    out = tmp_path / "q.csv"
+    cmd_bench(
+        "qaoa", devices=["grid:3", "grid:4"], depths=[], sizes=[8], seeds=1,
+        modes=["srefine"], out=str(out), budget_scale=0.001,
+    )
+    rows = out.read_text().strip().splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == ["grid:3", "grid:4"]
 
 
 def test_queko_bench_counts_rows(tmp_path):
