@@ -248,6 +248,11 @@ def cmd_bench(suite: str, devices: list[str], depths: list[int], sizes: list[int
             f"--modes must list one or more of {', '.join(_SOLVE_MODES)}, each once, not {modes}"
         )
     jobs = _bench_jobs(suite, devices, depths, sizes, seeds, modes, density)
+    if not jobs:
+        needs = "--devices and --depths" if suite == "queko" else "--sizes"
+        raise ValueError(
+            f"suite {suite!r} has no instances: it needs {needs} and --seeds of at least 1"
+        )
     for job in jobs:
         job["budget_scale"] = budget_scale
     workers = int(os.environ.get("MLQLS_THREADS", "1"))

@@ -691,7 +691,7 @@ def forward_backward(
         oriented = sol if forward else reverse_solution(sol)
         if best_n is None or n < best_n:
             best, best_n = oriented, n
-        if prev is not None and n >= prev:
+        if n == 0 or (prev is not None and n >= prev):
             break
         prev = n
         mapping = sol.block_mappings[-1]
@@ -749,6 +749,7 @@ def _initial_mapper_ex(
     best_cost = math.inf
     total = len({(min(g.qubits), max(g.qubits)) for g in order})
     terms = _cost_terms(circuit)
+    nbr_sets = [set(ns) for ns in graph.neighbors]
 
     def consider(candidate: dict[int, int]) -> None:
         nonlocal best_map, best_cost
@@ -766,7 +767,7 @@ def _initial_mapper_ex(
         trial = {q: set(nbrs) for q, nbrs in required.items()}
         trial.setdefault(a, set()).add(b)
         trial.setdefault(b, set()).add(a)
-        solution = _embed(trial, graph, assign, budget)
+        solution = _embed(trial, nbr_sets, assign, budget)
         if solution is not None:
             accepted_pairs.add(pair)
             required = trial
@@ -781,36 +782,37 @@ def _initial_mapper_ex(
 
 def _embed(
     constraints: dict[int, set[int]],
-    graph: CouplingGraph,
+    nbr_sets: list[set[int]],
     hint: dict[int, int],
     budget: list[int],
 ) -> dict[int, int] | None:
     """Backtracking search for an injective placement making every constrained
-    pair adjacent. Treats budget exhaustion as unsatisfiable."""
+    pair adjacent (``nbr_sets[p]`` are the neighbours of position p). Treats
+    budget exhaustion as unsatisfiable."""
     variables = sorted(constraints)
     if not variables:
         return {}
     assign: dict[int, int] = {}
     used: set[int] = set()
-    nbr_sets = [set(ns) for ns in graph.neighbors]
+    placed = dict.fromkeys(variables, 0)  # partners of each variable in assign
 
     def pick() -> int | None:
+        """The unplaced variable with the most placed partners, then the most
+        constraints, then the lowest index."""
         best_q, best_key = None, None
         for q in variables:
-            if q in assign:
-                continue
-            placed = sum(1 for r in constraints[q] if r in assign)
-            key = (-placed, -len(constraints[q]), q)
-            if best_key is None or key < best_key:
-                best_q, best_key = q, key
+            if q not in assign:
+                key = (placed[q], len(constraints[q]))
+                if best_key is None or key > best_key:
+                    best_q, best_key = q, key
         return best_q
 
     def candidates(q: int) -> list[int]:
-        placed = [assign[r] for r in constraints[q] if r in assign]
-        if placed:
-            cands = set.intersection(*(nbr_sets[p] for p in placed)) - used
+        partners = [assign[r] for r in constraints[q] if r in assign]
+        if partners:
+            cands = set.intersection(*(nbr_sets[p] for p in partners)) - used
         else:
-            cands = set(range(graph.num_physical)) - used
+            cands = set(range(len(nbr_sets))) - used
         out = sorted(cands)
         hinted = hint.get(q)
         if hinted in cands:
@@ -828,10 +830,14 @@ def _embed(
                 raise _BudgetExhausted
             assign[q] = p
             used.add(p)
+            for r in constraints[q]:
+                placed[r] += 1
             if bt():
                 return True
             del assign[q]
             used.discard(p)
+            for r in constraints[q]:
+                placed[r] -= 1
         return False
 
     try:
@@ -884,8 +890,9 @@ def srefine_run(
     Standalone mode (no regions) seeds candidates from the constraint-growing
     mapper (small circuits) or random placements; refinement mode seeds from
     the region matching. Each candidate runs annealing plus forward/backward
-    routing. Ties break toward the earlier candidate, so runs are reproducible
-    per seed.
+    routing; a start that puts every two-qubit gate on a coupler is routed
+    without annealing. Ties break toward the earlier candidate, so runs are
+    reproducible per seed.
     """
     cfgs = cfgs or SrefineConfig()
     rng = rng or random.Random(0)
@@ -895,32 +902,26 @@ def srefine_run(
     best_n = None
     # Region matching draws no random numbers, so every candidate shares it.
     matched = initial_matching(regions, graph) if regions is not None else None
+    pairs = [g.qubits for g in circuit.gates if g.is_two_qubit]
     for i in range(cfgs.candidates):
         crng = random.Random(rng.randrange(1 << 62))
-        embedded_all = False
         if regions is None:
             start = None
             if circuit.num_qubits < _MAPPER_QUBIT_LIMIT:
                 budget = cfgs.mapper_first_budget if i == 0 else cfgs.mapper_next_budget
-                start, accepted, total = _initial_mapper_ex(circuit, graph, budget, crng)
-                embedded_all = start is not None and accepted == total
+                start = initial_mapper(circuit, graph, budget, crng)
             if start is None:
                 start = Mapping(tuple(crng.sample(range(graph.num_physical), circuit.num_qubits)))
         else:
             start = matched
-        annealed = sa_initial_mapping(circuit, graph, start, regions, crng)
-        candidates = [annealed]
-        # A start that already executes every gate routes SWAP-free; keep it
-        # alongside the annealed mapping rather than risk losing it.
-        if embedded_all and annealed.assignment != start.assignment:
-            candidates.append(start)
-        for m in candidates:
-            sol = forward_backward(circuit, graph, m, regions, crng)
-            n = swap_count(sol)
-            if best_n is None or n < best_n:
-                best, best_n = sol, n
-            if best_n == 0:
-                break
+        # A start with every two-qubit gate on a coupler routes with 0 SWAPs,
+        # which annealing cannot beat.
+        if not all(graph.has_edge(start[a], start[b]) for a, b in pairs):
+            start = sa_initial_mapping(circuit, graph, start, regions, crng)
+        sol = forward_backward(circuit, graph, start, regions, crng)
+        n = swap_count(sol)
+        if best_n is None or n < best_n:
+            best, best_n = sol, n
         if best_n == 0:
             break
     assert best is not None

@@ -265,6 +265,30 @@ def test_bench_rejects_bad_modes_before_any_job(capsys, monkeypatch, modes):
     assert calls == []
 
 
+_EMPTY_SUITES = {
+    "qaoa_without_sizes": ["--suite", "qaoa"],
+    "chain_without_sizes": ["--suite", "chain"],
+    "queko_empty_depths": ["--suite", "queko", "--depths", ","],
+    "zero_seeds": ["--suite", "chain", "--sizes", "4", "--seeds", "0"],
+}
+
+
+@pytest.mark.parametrize("case", [*sorted(_EMPTY_SUITES), "queko_without_devices"])
+def test_bench_without_instances_exits_2(capsys, monkeypatch, case):
+    import mlqls.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "_solve", lambda *args: calls.append(args))
+    monkeypatch.delenv("MLQLS_THREADS", raising=False)
+    if case == "queko_without_devices":  # the command line defaults to grid:4
+        with pytest.raises(ValueError, match="no instances"):
+            cmd_bench("queko", devices=[], depths=[5], sizes=[], seeds=1, modes=["srefine"])
+    else:
+        assert main(["bench", *_EMPTY_SUITES[case], "--modes", "srefine"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
+
+
 def test_qaoa_bench_runs_every_device(tmp_path):
     out = tmp_path / "q.csv"
     cmd_bench(

@@ -2,13 +2,18 @@ import itertools
 import random
 
 import pytest
+from conftest import random_connected_graph
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mlqls import Circuit, Mapping, MappingRegion, gen_queko, make_device
+import mlqls.srefine as srefine
+from mlqls import Circuit, CouplingGraph, Mapping, MappingRegion, gen_queko, make_device
 from mlqls.exact import optimal_oracle
 from mlqls.srefine import (
     _GAMMA,
     AStarState,
     SrefineConfig,
+    _embed,
     _RouteContext,
     astar_insert,
     forward_backward,
@@ -21,6 +26,14 @@ from mlqls.srefine import (
     srefine_run,
 )
 from mlqls.verify import swap_count, verify
+
+
+def spy(monkeypatch, name):
+    """Record each call of ``srefine.<name>``, then make it."""
+    calls = []
+    real = getattr(srefine, name)
+    monkeypatch.setattr(srefine, name, lambda *args: calls.append(args) or real(*args))
+    return calls
 
 
 def star_circuit(n_partners=7):
@@ -272,10 +285,13 @@ class TestForwardBackward:
             assert swap_count(fb) <= swap_count(first)
             assert verify(c, grid3, fb).ok
 
-    def test_queko_witness_start_is_swap_free(self, grid4):
+    def test_queko_witness_start_is_swap_free(self, grid4, monkeypatch):
+        # a 0-SWAP pass cannot be beaten, so no second pass runs
+        routes = spy(monkeypatch, "astar_insert")
         c, wit = gen_queko(grid4, 5, 0.5, seed=4)
         sol = forward_backward(c, grid4, wit, rng=random.Random(0))
         assert swap_count(sol) == 0
+        assert len(routes) == 1
 
     def test_reverse_solution_is_valid_for_original(self, grid3):
         rng = random.Random(31)
@@ -375,3 +391,102 @@ class TestSrefineRun:
         a = srefine_run(c, grid3, None, cfg, random.Random(11))
         b = srefine_run(c, grid3, None, cfg, random.Random(11))
         assert a == b
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_swap_free_start_skips_annealing(self, grid4, monkeypatch, seed):
+        calls = spy(monkeypatch, "sa_initial_mapping")
+        c, _ = gen_queko(grid4, 5, 0.5, seed=seed)
+        sol = srefine_run(c, grid4, None, SrefineConfig(mapper_first_budget=2.0), random.Random(seed))
+        assert swap_count(sol) == 0
+        assert len(calls) == 0
+
+    def test_unembeddable_start_still_anneals(self, grid3, triangle_circuit, monkeypatch):
+        # a triangle never embeds in a bipartite grid, so every candidate anneals
+        calls = spy(monkeypatch, "sa_initial_mapping")
+        cfg = SrefineConfig(candidates=3, mapper_first_budget=0.2, mapper_next_budget=0.1)
+        sol = srefine_run(triangle_circuit, grid3, None, cfg, random.Random(0))
+        assert swap_count(sol) == 1
+        assert len(calls) == cfg.candidates
+
+
+def reference_embed(constraints, graph, hint, budget):
+    """The embedding search as first written: ``pick`` recounts each
+    variable's placed partners at every search node."""
+    variables = sorted(constraints)
+    if not variables:
+        return {}
+    assign, used = {}, set()
+    nbr_sets = [set(ns) for ns in graph.neighbors]
+
+    def pick():
+        best_q, best_key = None, None
+        for q in variables:
+            if q in assign:
+                continue
+            placed = sum(1 for r in constraints[q] if r in assign)
+            key = (-placed, -len(constraints[q]), q)
+            if best_key is None or key < best_key:
+                best_q, best_key = q, key
+        return best_q
+
+    def candidates(q):
+        placed = [assign[r] for r in constraints[q] if r in assign]
+        if placed:
+            cands = set.intersection(*(nbr_sets[p] for p in placed)) - used
+        else:
+            cands = set(range(graph.num_physical)) - used
+        out = sorted(cands)
+        if hint.get(q) in cands:
+            out.remove(hint[q])
+            out.insert(0, hint[q])
+        return out
+
+    def bt():
+        q = pick()
+        if q is None:
+            return True
+        for p in candidates(q):
+            budget[0] -= 1
+            if budget[0] <= 0:
+                raise srefine._BudgetExhausted
+            assign[q] = p
+            used.add(p)
+            if bt():
+                return True
+            del assign[q]
+            used.discard(p)
+        return False
+
+    try:
+        return dict(assign) if bt() else None
+    except srefine._BudgetExhausted:
+        return None
+
+
+@st.composite
+def embed_instances(draw):
+    """A random connected device of at most 7 nodes, random adjacency
+    constraints among up to as many qubits, a random hint and a budget that
+    sometimes runs out."""
+    n = draw(st.integers(2, 7))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    graph = CouplingGraph.build(n, sorted(random_connected_graph(rng, n, draw(st.integers(0, n)))))
+    nq = draw(st.integers(2, n))
+    pair = st.lists(st.integers(0, nq - 1), min_size=2, max_size=2, unique=True)
+    constraints = {}
+    for a, b in draw(st.lists(pair, max_size=12)):
+        constraints.setdefault(a, set()).add(b)
+        constraints.setdefault(b, set()).add(a)
+    hint = draw(st.dictionaries(st.integers(0, nq - 1), st.integers(0, n - 1)))
+    return graph, constraints, hint, draw(st.integers(1, 300))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(embed_instances())
+def test_embed_matches_recounting_reference(instance):
+    graph, constraints, hint, budget = instance
+    expected_budget, got_budget = [budget], [budget]
+    expected = reference_embed(constraints, graph, hint, expected_budget)
+    got = _embed(constraints, [set(ns) for ns in graph.neighbors], hint, got_budget)
+    assert got == expected
+    assert got_budget == expected_budget
