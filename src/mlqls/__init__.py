@@ -7,7 +7,6 @@ from .cluster import (
     Level,
     LevelHierarchy,
     MappingRegion,
-    affinity,
     cluster_physical,
     cluster_program,
     coarsen,
@@ -33,7 +32,6 @@ from .flow import (
 from .model import (
     Circuit,
     CouplingGraph,
-    DependencyDag,
     DeviceError,
     Gate,
     Mapping,
@@ -50,14 +48,11 @@ from .model import (
     make_device,
     parse_qasm,
     to_qasm,
-    uncommon_qubits,
 )
 from .srefine import (
-    AStarState,
     SrefineConfig,
     astar_insert,
     forward_backward,
-    heuristic_h,
     initial_mapper,
     initial_matching,
     reverse_solution,

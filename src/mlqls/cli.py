@@ -38,7 +38,8 @@ from .verify import (
     verify,
 )
 
-# Paper-scale wall-clock limits, multiplied by --budget-scale.
+# Paper-scale budgets in seconds, multiplied by --budget-scale; the searches
+# turn them into node budgets at fixed rates.
 _MAPPER_FIRST_SECONDS = 1000.0
 _MAPPER_NEXT_SECONDS = 100.0
 _EXACT_POST_FIRST_SECONDS = 100.0

@@ -6,6 +6,10 @@ physical positions lazily when a gate first needs them, SWAPs are branched
 inside inter-block gaps, and the incumbent SWAP count prunes the rest. The
 sweep stops once the incumbent is provably optimal (S <= B - 1).
 
+The budgets are counted in search nodes, not read off the clock: the
+``ExactConfig`` seconds become node limits at ``_NODES_PER_SECOND``, so an
+answer depends on the instance and the budget only, never on machine load.
+
 The starting incumbent, which is also the answer when the budget runs out
 first, is the caller's verified ``warm_start`` (the V cycle passes an sRefine
 solution), or else one ``srefine.astar_insert`` routing pass from a
@@ -20,7 +24,6 @@ against.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 
 from .model import Circuit, CouplingGraph, Mapping, build_dag, make_device
@@ -32,6 +35,10 @@ from .verify import QlsSolution, SwapOp, asap_depth, swap_count, verify
 # coarsest level fits.
 MAX_QUBITS = 16
 MAX_GATES = 50
+
+# Search nodes per budget second, roughly the solver's own rate, so that the
+# budgets keep their meaning; srefine's _MAPPER_NODES_PER_SECOND does the same.
+_NODES_PER_SECOND = 80_000
 
 
 class InstanceTooLarge(ValueError):
@@ -46,7 +53,8 @@ def fits_exact(circuit: Circuit) -> bool:
 
 @dataclass
 class ExactConfig:
-    """Runtime budgets for the exact solver."""
+    """Search budgets for the exact solver, in seconds at
+    ``_NODES_PER_SECOND`` search nodes each."""
 
     post_first_solution_budget: float = 100.0
     overall_budget: float = 300.0
@@ -68,7 +76,7 @@ class ExactResult:
 
 
 class _Deadline(Exception):
-    pass
+    """The search ran out of nodes."""
 
 
 def solve_exact(
@@ -77,7 +85,7 @@ def solve_exact(
     cfg: ExactConfig | None = None,
     warm_start: QlsSolution | None = None,
 ) -> ExactResult:
-    """Minimize inserted SWAPs by branch and bound under a runtime budget.
+    """Minimize inserted SWAPs by branch and bound under a node budget.
 
     Always returns a verified solution; ``timed_out`` marks best-so-far results
     whose optimality was not proven before the budget ran out. A verified
@@ -98,19 +106,19 @@ def solve_exact(
     else:
         incumbent = astar_insert(circuit, graph, _extend_partial({}, circuit.num_qubits, graph))
     best_s = swap_count(incumbent)
-    start = time.monotonic()
-    overall_deadline = start + cfg.overall_budget
-    first_solution_at: float | None = None
+    overall_limit = cfg.overall_budget * _NODES_PER_SECOND
+    post_first_nodes = cfg.post_first_solution_budget * _NODES_PER_SECOND
+    first_solution_at: int | None = None  # node count when found
     timed_out = False
     proven = False
     searcher = _BlockSearch(circuit, graph)
     b = 1
     while best_s > b - 1:
-        deadline = overall_deadline
+        limit = overall_limit
         if first_solution_at is not None:
-            deadline = min(deadline, first_solution_at + cfg.post_first_solution_budget)
+            limit = min(limit, first_solution_at + post_first_nodes)
         try:
-            found = searcher.search(max_blocks=b, swap_cap=best_s - 1, deadline=deadline)
+            found = searcher.search(max_blocks=b, swap_cap=best_s - 1, node_limit=limit)
         except _Deadline:
             timed_out = True
             break
@@ -118,7 +126,7 @@ def solve_exact(
             incumbent = found
             best_s = swap_count(found)
             if first_solution_at is None:
-                first_solution_at = time.monotonic()
+                first_solution_at = searcher.nodes
         b += 1
     else:
         proven = True
@@ -138,9 +146,8 @@ def solve_exact(
 
 
 class _BlockSearch:
-    """DFS over lazy qubit bindings and per-gap SWAP sequences."""
-
-    _TICK_MASK = 0x1FF
+    """DFS over lazy qubit bindings and per-gap SWAP sequences. ``nodes``
+    counts the nodes visited over every ``search`` call."""
 
     def __init__(self, circuit: Circuit, graph: CouplingGraph):
         self.circuit = circuit
@@ -150,6 +157,7 @@ class _BlockSearch:
         self.edge_list = graph.sorted_edges()
         self.dag = build_dag(circuit)
         self.num_gates = len(circuit.gates)
+        self.all_mask = (1 << self.num_gates) - 1
         self.gate_qubits = [g.qubits for g in circuit.gates]
         self.is2 = [g.is_two_qubit for g in circuit.gates]
         deg = [0] * circuit.num_qubits
@@ -159,29 +167,29 @@ class _BlockSearch:
                     deg[q] += 1
         self.anchor = max(range(circuit.num_qubits), key=lambda q: (deg[q], -q)) if deg else 0
         self.anchor_positions = _symmetry_positions(graph) or list(range(graph.num_physical))
+        self.nodes = 0
 
     def search(
-        self, max_blocks: int, swap_cap: int, deadline: float
+        self, max_blocks: int, swap_cap: int, node_limit: float
     ) -> QlsSolution | None:
         """Best solution using at most ``max_blocks`` blocks and ``swap_cap``
-        SWAPs, or None. Raises _Deadline when the clock runs out."""
+        SWAPs, or None. Raises _Deadline once ``nodes`` passes ``node_limit``."""
         if swap_cap < 0:
             return None
         self.max_blocks = max_blocks
         self.swap_cap = swap_cap
-        self.deadline = deadline
+        self.node_limit = node_limit
         self.best: QlsSolution | None = None
         self.occ = [-1] * self.graph.num_physical
         self.pos = [-1] * self.circuit.num_qubits
         self.indeg = self.dag.indegrees()
-        self.executed = [False] * self.num_gates
-        self.exec_count = 0
+        self.exec_mask = 0
         self.ready2: set[int] = set()
         self.deferred: set[int] = set()
+        # Needs no undo: the path that reaches _record has set every entry.
         self.gate_block = [-1] * self.num_gates
         self.swaps: list[SwapOp] = []
         self.visited: dict = {}
-        self._nodes = 0
         for gid in range(self.num_gates):
             if self.indeg[gid] == 0 and self.is2[gid]:
                 self.ready2.add(gid)
@@ -204,60 +212,49 @@ class _BlockSearch:
         self.pos[q] = -1
         self.occ[p] = -1
 
+    def _exchange(self, a: int, b: int) -> None:
+        """Swap the occupants of positions a and b."""
+        qa, qb = self.occ[a], self.occ[b]
+        self.occ[a], self.occ[b] = qb, qa
+        if qa != -1:
+            self.pos[qa] = b
+        if qb != -1:
+            self.pos[qb] = a
+
     def _tick(self) -> None:
-        self._nodes += 1
-        if (self._nodes & self._TICK_MASK) == 0 and time.monotonic() > self.deadline:
+        self.nodes += 1
+        if self.nodes > self.node_limit:
             raise _Deadline
 
-    def _execute(self, gid: int, block: int, undo: list) -> None:
-        self.executed[gid] = True
-        self.exec_count += 1
-        self.gate_block[gid] = block
-        if self.is2[gid]:
-            self.ready2.discard(gid)
-        undo.append(("exec", gid))
-        for succ in self.dag.succs[gid]:
-            self.indeg[succ] -= 1
-            undo.append(("indeg", succ))
-            if self.indeg[succ] == 0 and self.is2[succ]:
-                self.ready2.add(succ)
-                undo.append(("ready", succ))
-
-    def _closure(self, block: int) -> list:
-        """Execute every gate that is executable under the current bindings."""
-        undo: list = []
+    def _closure(self, block: int) -> tuple:
+        """Execute every gate that is executable under the current bindings.
+        Returns the execution state from before, for ``_dfs_block`` to restore."""
+        snapshot = (self.exec_mask, self.indeg[:], set(self.ready2))
         progress = True
         while progress:
             progress = False
             for gid in range(self.num_gates):
-                if self.executed[gid] or self.indeg[gid] != 0:
+                if self.exec_mask >> gid & 1 or self.indeg[gid] != 0:
                     continue
                 if self.is2[gid]:
                     qa, qb = self.gate_qubits[gid]
                     pa, pb = self.pos[qa], self.pos[qb]
                     if pa < 0 or pb < 0 or self.dist[pa][pb] != 1:
                         continue
-                self._execute(gid, block, undo)
+                    self.ready2.discard(gid)
+                self.exec_mask |= 1 << gid
+                self.gate_block[gid] = block
+                for succ in self.dag.succs[gid]:
+                    self.indeg[succ] -= 1
+                    if self.indeg[succ] == 0 and self.is2[succ]:
+                        self.ready2.add(succ)
                 progress = True
-        return undo
-
-    def _undo(self, undo: list) -> None:
-        for kind, arg in reversed(undo):
-            if kind == "exec":
-                self.executed[arg] = False
-                self.exec_count -= 1
-                self.gate_block[arg] = -1
-                if self.is2[arg]:
-                    self.ready2.add(arg)
-            elif kind == "indeg":
-                self.indeg[arg] += 1
-            elif kind == "ready":
-                self.ready2.discard(arg)
+        return snapshot
 
     def _lower_bound(self) -> int:
         worst = 0
         for gid in range(self.num_gates):
-            if self.executed[gid] or not self.is2[gid]:
+            if self.exec_mask >> gid & 1 or not self.is2[gid]:
                 continue
             qa, qb = self.gate_qubits[gid]
             pa, pb = self.pos[qa], self.pos[qb]
@@ -268,19 +265,15 @@ class _BlockSearch:
         return worst
 
     def _state_key(self, tag, block: int):
-        mask = 0
-        for gid in range(self.num_gates):
-            if self.executed[gid]:
-                mask |= 1 << gid
-        return (tag, block, tuple(self.occ), mask, frozenset(self.deferred))
+        return (tag, block, tuple(self.occ), self.exec_mask, frozenset(self.deferred))
 
     # -- search ------------------------------------------------------------
 
     def _dfs_block(self, block: int) -> None:
         self._tick()
-        undo = self._closure(block)
+        snapshot = self._closure(block)
         try:
-            if self.exec_count == self.num_gates:
+            if self.exec_mask == self.all_mask:
                 self._record(block)
                 return
             if len(self.swaps) + self._lower_bound() > self.swap_cap:
@@ -298,7 +291,7 @@ class _BlockSearch:
                 return
             self._dfs_gap(block, last_idx=-1, in_gap=0)
         finally:
-            self._undo(undo)
+            self.exec_mask, self.indeg, self.ready2 = snapshot
 
     def _pick_bindable(self) -> int | None:
         best = None
@@ -352,32 +345,16 @@ class _BlockSearch:
                 la, lb = self.edge_list[last_idx]
                 if a != la and a != lb and b != la and b != lb:
                     continue  # canonical order for commuting swaps
-            self._apply_swap(a, b, block)
+            self._exchange(a, b)
+            self.swaps.append(SwapOp((a, b), block))
             if len(self.swaps) + self._lower_bound() <= self.swap_cap:
                 key = self._state_key(("g", idx), block)
                 prev = self.visited.get(key)
                 if prev is None or prev > len(self.swaps):
                     self.visited[key] = len(self.swaps)
                     self._dfs_gap(block, idx, in_gap + 1)
-            self._pop_swap(a, b)
-
-    def _apply_swap(self, a: int, b: int, block: int) -> None:
-        qa, qb = self.occ[a], self.occ[b]
-        self.occ[a], self.occ[b] = qb, qa
-        if qa != -1:
-            self.pos[qa] = b
-        if qb != -1:
-            self.pos[qb] = a
-        self.swaps.append(SwapOp((a, b), block))
-
-    def _pop_swap(self, a: int, b: int) -> None:
-        self.swaps.pop()
-        qa, qb = self.occ[a], self.occ[b]
-        self.occ[a], self.occ[b] = qb, qa
-        if qa != -1:
-            self.pos[qa] = b
-        if qb != -1:
-            self.pos[qb] = a
+            self.swaps.pop()
+            self._exchange(a, b)
 
     def _record(self, last_block: int) -> None:
         final_pos = list(self.pos)

@@ -51,6 +51,8 @@ class Circuit:
     commutable: bool = False
 
     def __post_init__(self) -> None:
+        if self.num_qubits < 0:
+            raise ValueError(f"num_qubits must not be negative, got {self.num_qubits}")
         for g in self.gates:
             if any(q < 0 or q >= self.num_qubits for q in g.qubits):
                 raise ValueError(f"gate {g.id}: qubit index out of range")

@@ -233,52 +233,6 @@ def _nearest_free(graph: CouplingGraph, seeds, taken: set[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AStarState:
-    """Public snapshot of one search state (contract surface; the search
-    itself uses a leaner internal node)."""
-
-    swap_edge: tuple[int, int] | None
-    ready: frozenset[int]
-    unexecuted: frozenset[int]
-    mapping: Mapping
-    parent: "AStarState | None"
-    g_cost: int
-    h_cost: float = 0.0
-
-
-def heuristic_h(state: AStarState, circuit: Circuit, graph: CouplingGraph) -> float:
-    """Four-term lookahead estimate: normalized ready-gate distance, one-hop
-    child distance, related-qubit distance, and the count of gates not yet
-    executed. Empty gate sets contribute zero."""
-    dag = build_dag(circuit)
-    dist = graph.dist
-    pos = state.mapping.assignment
-    nq = circuit.num_qubits
-    h = 0.0
-    if state.ready:
-        s = sum(
-            dist[pos[circuit.gates[gid].qubits[0]]][pos[circuit.gates[gid].qubits[1]]]
-            for gid in state.ready
-        )
-        h += s / (len(state.ready) * nq)
-    onehop = {cid for gid in state.ready for cid in dag.children2[gid]}
-    if onehop:
-        s2 = sum(
-            dist[pos[circuit.gates[gid].qubits[0]]][pos[circuit.gates[gid].qubits[1]]]
-            for gid in onehop
-        )
-        s3 = 0
-        for gid in onehop:
-            for pid in dag.parents2[gid]:
-                pair = uncommon_qubits(circuit.gates[gid], circuit.gates[pid])
-                if pair is not None:
-                    s3 += dist[pos[pair[0]]][pos[pair[1]]]
-        h += (_ALPHA * s2 + _BETA * s3) / (len(onehop) * nq)
-    h += _GAMMA * (len(state.ready) + len(state.unexecuted))
-    return h
-
-
 class _Node:
     __slots__ = (
         "pos",
@@ -398,6 +352,9 @@ class _RouteContext:
         )
 
     def _node_h(self, node: _Node) -> float:
+        """Four-term lookahead estimate: normalized ready-gate distance,
+        one-hop child distance, related-qubit distance, and the count of gates
+        not yet executed. Empty gate sets contribute zero."""
         h = 0.0
         if node.ready:
             h += node.rsum / (len(node.ready) * self.nq)
@@ -775,8 +732,8 @@ def _initial_mapper_ex(
             consider(assign)
         if budget[0] <= 0:
             break
-    if best_map is None and not order:
-        best_map = _extend_partial({}, circuit.num_qubits, graph)
+    if len(accepted_pairs) == total:  # the full embedding is SWAP-free
+        return _extend_partial(assign, circuit.num_qubits, graph), total, total
     return best_map, len(accepted_pairs), total
 
 

@@ -1,8 +1,11 @@
 import random
+from dataclasses import dataclass
 
 import pytest
 
-from mlqls import Circuit, Mapping, make_device
+from mlqls import Circuit, CouplingGraph, Mapping, make_device
+from mlqls.model import build_dag, uncommon_qubits
+from mlqls.srefine import _ALPHA, _BETA, _GAMMA
 
 
 @pytest.fixture(scope="session")
@@ -62,3 +65,49 @@ def random_connected_graph(rng: random.Random, n: int, extra: int):
         elif len(edges) >= n * (n - 1) // 2:
             break
     return edges
+
+
+@dataclass(frozen=True)
+class AStarState:
+    """One routing search state, for the reference heuristic below."""
+
+    swap_edge: tuple[int, int] | None
+    ready: frozenset[int]
+    unexecuted: frozenset[int]
+    mapping: Mapping
+    parent: "AStarState | None"
+    g_cost: int
+    h_cost: float = 0.0
+
+
+def heuristic_h(state: AStarState, circuit: Circuit, graph: CouplingGraph) -> float:
+    """Reference for the router's lookahead estimate, computed from scratch:
+    normalized ready-gate distance, one-hop child distance, related-qubit
+    distance, and the count of gates not yet executed. Empty gate sets
+    contribute zero."""
+    dag = build_dag(circuit)
+    dist = graph.dist
+    pos = state.mapping.assignment
+    nq = circuit.num_qubits
+    h = 0.0
+    if state.ready:
+        s = sum(
+            dist[pos[circuit.gates[gid].qubits[0]]][pos[circuit.gates[gid].qubits[1]]]
+            for gid in state.ready
+        )
+        h += s / (len(state.ready) * nq)
+    onehop = {cid for gid in state.ready for cid in dag.children2[gid]}
+    if onehop:
+        s2 = sum(
+            dist[pos[circuit.gates[gid].qubits[0]]][pos[circuit.gates[gid].qubits[1]]]
+            for gid in onehop
+        )
+        s3 = 0
+        for gid in onehop:
+            for pid in dag.parents2[gid]:
+                pair = uncommon_qubits(circuit.gates[gid], circuit.gates[pid])
+                if pair is not None:
+                    s3 += dist[pos[pair[0]]][pos[pair[1]]]
+        h += (_ALPHA * s2 + _BETA * s3) / (len(onehop) * nq)
+    h += _GAMMA * (len(state.ready) + len(state.unexecuted))
+    return h

@@ -8,6 +8,7 @@ import statistics
 import time
 
 import pytest
+from conftest import AStarState, heuristic_h
 
 from mlqls import (
     Circuit,
@@ -23,7 +24,7 @@ from mlqls import (
 from mlqls.cluster import cluster_physical, cluster_program
 from mlqls.exact import ExactConfig, optimal_oracle, solve_exact
 from mlqls.flow import FlowConfig, run_mlqls
-from mlqls.srefine import AStarState, SrefineConfig, heuristic_h, srefine_run
+from mlqls.srefine import SrefineConfig, srefine_run
 from mlqls.verify import QlsSolution, swap_count, verify
 
 

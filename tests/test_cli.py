@@ -252,6 +252,15 @@ def test_malformed_bundle_exits_2(tmp_path, capsys, case):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("mode", ["srefine", "vcycle", "exact"])
+def test_negative_num_qubits_exits_2(tmp_path, capsys, mode):
+    circuit = tmp_path / "neg.json"
+    circuit.write_text(json.dumps({"num_qubits": -1, "gates": []}))
+    rc = main(["compile", "--device", "grid:2", "--circuit", str(circuit), "--mode", mode])
+    assert rc == 2
+    assert "num_qubits" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("modes", [",", "srefine,greedy", "srefine,srefine"])
 def test_bench_rejects_bad_modes_before_any_job(capsys, monkeypatch, modes):
     import mlqls.cli as cli

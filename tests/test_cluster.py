@@ -7,7 +7,6 @@ from mlqls import (
     ClusterMap,
     ClusteringError,
     Mapping,
-    affinity,
     build_dag,
     cluster_physical,
     cluster_program,
@@ -18,6 +17,7 @@ from mlqls import (
     interpolate,
     make_device,
 )
+from mlqls.cluster import affinity
 from mlqls.verify import QlsSolution
 
 

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from conftest import random_connected_graph
+from conftest import AStarState, heuristic_h, random_connected_graph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,13 +11,11 @@ from mlqls import Circuit, CouplingGraph, Mapping, MappingRegion, gen_queko, mak
 from mlqls.exact import optimal_oracle
 from mlqls.srefine import (
     _GAMMA,
-    AStarState,
     SrefineConfig,
     _embed,
     _RouteContext,
     astar_insert,
     forward_backward,
-    heuristic_h,
     initial_mapper,
     initial_matching,
     reverse_solution,
@@ -344,6 +342,19 @@ class TestInitialMapper:
                 assert swap_count(sol) == 0
             hits += ok
         assert hits >= 16  # >= 80% of 20 seeds
+
+    # (depth, seed) of QUEKO circuits whose mapper result accepted every
+    # pair but was not SWAP-free while the mapper returned its lowest-cost
+    # intermediate placement instead of the full embedding.
+    @pytest.mark.parametrize("depth,seed", [(5, 908207697), (5, 666712637), (10, 383471879)])
+    def test_full_embedding_is_swap_free(self, grid4, depth, seed):
+        c, _ = gen_queko(grid4, depth, 0.5, seed=seed)
+        for k in range(10):
+            m, accepted, total = srefine._initial_mapper_ex(c, grid4, 0.2, random.Random(k))
+            if accepted == total:
+                for g in c.gates:
+                    if g.is_two_qubit:
+                        assert grid4.has_edge(m[g.qubits[0]], m[g.qubits[1]])
 
 
 class TestSrefineRun:
