@@ -38,8 +38,8 @@ from .verify import (
     verify,
 )
 
-# Paper-scale budgets in seconds, multiplied by --budget-scale; the searches
-# turn them into node budgets at fixed rates.
+# Paper-scale budgets in seconds, multiplied by --budget-scale (positive; inf
+# lifts every limit); the searches turn them into node budgets at fixed rates.
 _MAPPER_FIRST_SECONDS = 1000.0
 _MAPPER_NEXT_SECONDS = 100.0
 _EXACT_POST_FIRST_SECONDS = 100.0
@@ -131,8 +131,14 @@ def _solve(
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def _check_budget_scale(scale: float) -> None:
+    if not scale > 0:  # also catches nan
+        raise ValueError(f"--budget-scale must be positive (inf for no limit), not {scale}")
+
+
 def cmd_compile(args: argparse.Namespace) -> int:
     """Run ``mlqls compile`` with its parsed command-line arguments."""
+    _check_budget_scale(args.budget_scale)
     device = parse_device_spec(args.device) if args.device else None
     if args.mode == "verify":
         return _cmd_verify(args, device)
@@ -244,6 +250,7 @@ def _run_bench_job(job: dict) -> dict:
 def cmd_bench(suite: str, devices: list[str], depths: list[int], sizes: list[int],
               seeds: int, modes: list[str], density: float = 0.5,
               out: str | None = None, budget_scale: float = 0.01) -> int:
+    _check_budget_scale(budget_scale)
     if not modes or not set(modes) <= set(_SOLVE_MODES) or len(set(modes)) < len(modes):
         raise ValueError(
             f"--modes must list one or more of {', '.join(_SOLVE_MODES)}, each once, not {modes}"

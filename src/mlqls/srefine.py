@@ -128,21 +128,35 @@ def sa_initial_mapping(
             p = rng.randrange(num_p)
         return q, p
 
+    # The terms on q or r, per moved pair (q, r), with r = -1 for a free
+    # target. Each tuple keeps the iteration order of the set it is built
+    # from, so the sums below add in the order the set-based scoring did.
+    affected_terms: dict[tuple[int, int], tuple[tuple[float, int, int], ...]] = {}
+
     def move_delta(q: int, p: int) -> tuple[float, int]:
         r = occ[p]
-        affected = set(by_qubit[q])
-        if r != -1:
-            affected.update(by_qubit[r])
+        affected = affected_terms.get((q, r))
+        if affected is None:
+            ids = set(by_qubit[q])
+            if r != -1:
+                ids.update(by_qubit[r])
+            affected = affected_terms[q, r] = tuple(terms[i] for i in ids)
         old_p = pos[q]
-        before = sum(terms[i][0] * dist[pos[terms[i][1]]][pos[terms[i][2]]] for i in affected)
-        pos[q] = p
-        if r != -1:
-            pos[r] = old_p
-        after = sum(terms[i][0] * dist[pos[terms[i][1]]][pos[terms[i][2]]] for i in affected)
-        pos[q] = old_p
-        if r != -1:
-            pos[r] = p
-        return after - before, r
+        before, after = [], []
+        for w, a, b in affected:
+            pa, pb = pos[a], pos[b]
+            before.append(w * dist[pa][pb])
+            if a == q:
+                pa = p
+            elif a == r:
+                pa = old_p
+            if b == q:
+                pb = p
+            elif b == r:
+                pb = old_p
+            after.append(w * dist[pa][pb])
+        # sum(), not +=, because sum() of floats is compensated from Python 3.12
+        return sum(after) - sum(before), r
 
     probe_rng = random.Random(rng.randrange(1 << 62))
     uphill = []
@@ -251,6 +265,7 @@ class _Node:
         "parent",
         "edge",
         "done_here",
+        "key",
     )
 
 
@@ -263,6 +278,10 @@ class _RouteContext:
         self.regions = regions
         self.dist = graph.dist
         self.neighbors = graph.neighbors
+        self.edges_at = [
+            tuple((min(p, nb), max(p, nb)) for nb in graph.neighbors[p])
+            for p in range(graph.num_physical)
+        ]
         self.nq = circuit.num_qubits
         self.num_gates = len(circuit.gates)
         dag = build_dag(circuit)
@@ -271,11 +290,13 @@ class _RouteContext:
         self.is2 = [g.is_two_qubit for g in circuit.gates]
         self.q2 = [g.qubits if g.is_two_qubit else None for g in circuit.gates]
         self.num2 = sum(1 for f in self.is2 if f)
-        self.gates_on_qubit: list[list[int]] = [[] for _ in range(self.nq)]
+        # (gate, other qubit) for each two-qubit gate on a qubit
+        self.partners: list[list[tuple[int, int]]] = [[] for _ in range(self.nq)]
         for g in circuit.gates:
             if g.is_two_qubit:
-                for q in g.qubits:
-                    self.gates_on_qubit[q].append(g.id)
+                a, b = g.qubits
+                self.partners[a].append((g.id, b))
+                self.partners[b].append((g.id, a))
         self.related_pairs: list[list[tuple[int, int]]] = [[] for _ in range(self.num_gates)]
         self.related_by_qubit: list[list[tuple[int, int, int]]] = [[] for _ in range(self.nq)]
         for g in circuit.gates:
@@ -310,8 +331,11 @@ class _RouteContext:
         node.h = self._node_h(node)
         return node
 
-    def _run_closure(self, node: _Node, candidates: list[int]) -> None:
-        """Execute every executable gate reachable from the candidate seeds."""
+    def _run_closure(self, node: _Node, candidates: list[int]) -> list[int]:
+        """Execute every executable gate reachable from the candidate seeds.
+        Returns the two-qubit gates it reached but could not run, because
+        their qubits are not adjacent."""
+        blocked = []
         queue = deque(candidates)
         while queue:
             gid = queue.popleft()
@@ -320,6 +344,7 @@ class _RouteContext:
             if self.is2[gid]:
                 qa, qb = self.q2[gid]
                 if self.dist[node.pos[qa]][node.pos[qb]] != 1:
+                    blocked.append(gid)
                     continue
             node.exec_mask |= 1 << gid
             node.exec_count += 1
@@ -330,8 +355,13 @@ class _RouteContext:
                 node.indeg[succ] -= 1
                 if node.indeg[succ] == 0:
                     queue.append(succ)
+        return blocked
 
     def _recompute_sets(self, node: _Node) -> None:
+        """Build ``ready``, ``onehop`` and their three distance sums from
+        scratch by scanning every gate. Only ``make_root`` calls it; children
+        derive theirs from the parent in ``make_child``, and the tests use
+        this scan as the oracle for that derivation."""
         ready = set()
         for gid in range(self.num_gates):
             if self.is2[gid] and node.indeg[gid] == 0 and not node.exec_mask & (1 << gid):
@@ -364,67 +394,105 @@ class _RouteContext:
         return h
 
     def make_child(self, node: _Node, a: int, b: int) -> _Node:
+        """The state after swapping positions ``a`` and ``b``. Only the gates
+        on the two moved qubits change distance, so the child's sets and sums
+        follow from the parent's and those gates."""
         child = _Node()
-        child.pos = node.pos.copy()
+        pos = node.pos
+        child.pos = cpos = pos.copy()
         child.occ = node.occ.copy()
         qa, qb = node.occ[a], node.occ[b]
         child.occ[a], child.occ[b] = qb, qa
         if qa != -1:
-            child.pos[qa] = b
+            cpos[qa] = b
         if qb != -1:
-            child.pos[qb] = a
+            cpos[qb] = a
         child.parent = node
         child.edge = (min(a, b), max(a, b))
         child.g_cost = node.g_cost + 1
         child.done_here = []
-        moved = [q for q in (qa, qb) if q != -1]
-        touched = set()
+        if qa == -1:
+            moved = () if qb == -1 else (qb,)
+        else:
+            moved = (qa,) if qb == -1 else (qa, qb)
+        dist = self.dist
+        ready, onehop = node.ready, node.onehop
+        executable = []
+        drsum = dosum = 0
+        # A gate on both moved qubits is met twice, but the swap keeps its
+        # distance: it adds 0, and it is not ready, as the parent would have
+        # run it. The same holds for the related pairs below.
         for q in moved:
-            touched.update(self.gates_on_qubit[q])
-        executable = [
-            gid
-            for gid in touched
-            if gid in node.ready
-            and self.dist[child.pos[self.q2[gid][0]]][child.pos[self.q2[gid][1]]] == 1
-        ]
+            for gid, other in self.partners[q]:  # ready and onehop are disjoint
+                d = dist[cpos[q]][cpos[other]]
+                if gid in ready:
+                    drsum += d - dist[pos[q]][pos[other]]
+                    if d == 1:
+                        executable.append(gid)
+                elif gid in onehop:
+                    dosum += d - dist[pos[q]][pos[other]]
+        child.exec_mask = node.exec_mask
+        child.exec_count = node.exec_count
+        child.exec2 = node.exec2
         if executable:
             child.indeg = bytearray(node.indeg)
-            child.exec_mask = node.exec_mask
-            child.exec_count = node.exec_count
-            child.exec2 = node.exec2
-            self._run_closure(child, executable)
-            self._recompute_sets(child)
+            blocked = self._run_closure(child, executable)
+            self._advance_sets(child, node, executable, blocked, drsum)
         else:
             child.indeg = node.indeg
-            child.exec_mask = node.exec_mask
-            child.exec_count = node.exec_count
-            child.exec2 = node.exec2
-            child.ready = node.ready
-            child.onehop = node.onehop
-            dist = self.dist
-            drsum = 0
-            for gid in touched:
-                if gid in node.ready:
-                    x, y = self.q2[gid]
-                    drsum += dist[child.pos[x]][child.pos[y]] - dist[node.pos[x]][node.pos[y]]
-            dosum = 0
-            for gid in touched:
-                if gid in node.onehop:
-                    x, y = self.q2[gid]
-                    dosum += dist[child.pos[x]][child.pos[y]] - dist[node.pos[x]][node.pos[y]]
-            dpsum = 0
-            seen_pairs = set()
-            for q in moved:
-                for entry in self.related_by_qubit[q]:
-                    if entry[0] in node.onehop and entry not in seen_pairs:
-                        seen_pairs.add(entry)
-                        _, x, y = entry
-                        dpsum += dist[child.pos[x]][child.pos[y]] - dist[node.pos[x]][node.pos[y]]
+            child.ready = ready
+            child.onehop = onehop
             child.rsum = node.rsum + drsum
             child.osum = node.osum + dosum
+            dpsum = 0
+            if onehop:
+                for q in moved:
+                    for gid, x, y in self.related_by_qubit[q]:
+                        if gid in onehop:
+                            dpsum += dist[cpos[x]][cpos[y]] - dist[pos[x]][pos[y]]
             child.psum = node.psum + dpsum
         child.h = self._node_h(child)
         return child
+
+    def _advance_sets(
+        self, child: _Node, node: _Node, executable: list[int], blocked: list[int], drsum: int
+    ) -> None:
+        """Sets and sums of a child whose closure ran: ``executable`` (ready
+        in the parent, adjacent in the child) and the gates they unblocked
+        have run, and ``blocked`` holds the unblocked gates left waiting."""
+        dist, q2, pos = self.dist, self.q2, child.pos
+        ready = node.ready.difference(executable)
+        ready.update(blocked)
+        child.ready = ready
+        # The parent's ready gates cost rsum + drsum at the child's positions;
+        # the executed ones cost 1 each.
+        rsum = node.rsum + drsum - len(executable)
+        for gid in blocked:
+            x, y = q2[gid]
+            rsum += dist[pos[x]][pos[y]]
+        child.rsum = rsum
+        # A one-hop gate leaves when none of its parents is still ready, which
+        # can only happen to a child of an executed gate; a blocked gate's
+        # children join.
+        children2, parents2 = self.dag.children2, self.dag.parents2
+        gone = [c for gid in executable for c in children2[gid]]
+        onehop = node.onehop
+        if gone or any(children2[gid] for gid in blocked):
+            onehop = onehop.copy()
+            for c in gone:
+                if not any(p in ready for p in parents2[c]):
+                    onehop.discard(c)
+            for gid in blocked:
+                onehop.update(children2[gid])
+        child.onehop = onehop
+        osum = psum = 0
+        for gid in onehop:
+            x, y = q2[gid]
+            osum += dist[pos[x]][pos[y]]
+            for x, y in self.related_pairs[gid]:
+                psum += dist[pos[x]][pos[y]]
+        child.osum = osum
+        child.psum = psum
 
     # -- expansion ----------------------------------------------------------
 
@@ -444,25 +512,18 @@ class _RouteContext:
         edges = set()
         for gid in chosen:
             for q in self.q2[gid]:
-                p = node.pos[q]
-                for nb in self.neighbors[p]:
-                    edges.add((min(p, nb), max(p, nb)))
+                edges.update(self.edges_at[node.pos[q]])
         return sorted(edges)
 
     def _improves(self, node: _Node, a: int, b: int) -> bool:
         """True when the swap moves some ready-gate target strictly closer to
         its partner."""
-        dist = self.dist
+        dist, ready, pos = self.dist, node.ready, node.pos
         for q, old_p, new_p in ((node.occ[a], a, b), (node.occ[b], b, a)):
             if q == -1:
                 continue
-            for gid in self.gates_on_qubit[q]:
-                if gid not in node.ready:
-                    continue
-                x, y = self.q2[gid]
-                other = y if x == q else x
-                po = node.pos[other]
-                if dist[new_p][po] < dist[old_p][po]:
+            for gid, other in self.partners[q]:
+                if gid in ready and dist[new_p][pos[other]] < dist[old_p][pos[other]]:
                     return True
         return False
 
@@ -543,19 +604,19 @@ def _episode(ctx: _RouteContext, root: _Node, rng: random.Random):
     """One best-first search run; returns (goal, best_partial)."""
     seq = itertools.count()
     open_heap = [(root.h, -root.exec_count, next(seq), root)]
-    visited = {(tuple(root.pos), root.exec_mask): 0}
+    root.key = (tuple(root.pos), root.exec_mask)
+    visited = {root.key: 0}
     best_partial = root
     while open_heap:
         _, _, _, node = heapq.heappop(open_heap)
-        key = (tuple(node.pos), node.exec_mask)
-        if visited.get(key, node.g_cost) < node.g_cost:
+        if visited.get(node.key, node.g_cost) < node.g_cost:
             continue
         if node.exec_count == ctx.num_gates:
             return node, best_partial
         if (node.exec_count, -node.h) > (best_partial.exec_count, -best_partial.h):
             best_partial = node
         for child in ctx.expand(node, rng):
-            ckey = (tuple(child.pos), child.exec_mask)
+            child.key = ckey = (tuple(child.pos), child.exec_mask)
             prev = visited.get(ckey)
             if prev is not None and prev <= child.g_cost:
                 continue
@@ -698,7 +759,8 @@ def _initial_mapper_ex(
         raise ValueError("more program qubits than physical qubits")
     order = [g for g in circuit.gates if g.is_two_qubit]
     rng.shuffle(order)
-    budget = [max(1000, int(budget_seconds * _MAPPER_NODES_PER_SECOND))]
+    nodes = budget_seconds * _MAPPER_NODES_PER_SECOND
+    budget = [nodes if nodes == math.inf else max(1000, int(nodes))]  # inf: no limit
     required: dict[int, set[int]] = {}
     assign: dict[int, int] = {}
     accepted_pairs: set[tuple[int, int]] = set()
@@ -741,7 +803,7 @@ def _embed(
     constraints: dict[int, set[int]],
     nbr_sets: list[set[int]],
     hint: dict[int, int],
-    budget: list[int],
+    budget: list[float],
 ) -> dict[int, int] | None:
     """Backtracking search for an injective placement making every constrained
     pair adjacent (``nbr_sets[p]`` are the neighbours of position p). Treats

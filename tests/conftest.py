@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import dataclass
 
@@ -5,7 +6,17 @@ import pytest
 
 from mlqls import Circuit, CouplingGraph, Mapping, make_device
 from mlqls.model import build_dag, uncommon_qubits
-from mlqls.srefine import _ALPHA, _BETA, _GAMMA
+from mlqls.srefine import (
+    _ALPHA,
+    _BETA,
+    _GAMMA,
+    _REGION_BIAS,
+    _SA_FINAL_TEMP_RATIO,
+    _SA_MOVES_PER_QUBIT_PAIR,
+    _SA_PROBE_MOVES,
+    _cost_terms,
+    _terms_cost,
+)
 
 
 @pytest.fixture(scope="session")
@@ -111,3 +122,85 @@ def heuristic_h(state: AStarState, circuit: Circuit, graph: CouplingGraph) -> fl
         h += (_ALPHA * s2 + _BETA * s3) / (len(onehop) * nq)
     h += _GAMMA * (len(state.ready) + len(state.unexecuted))
     return h
+
+
+def reference_sa_initial_mapping(circuit, graph, start, regions=None, rng=None):
+    """Reference for the annealer: the same schedule, RNG draws and
+    acceptance rule, with each move scored by two sums over the set of terms
+    on the moved qubits, rebuilt at every move."""
+    rng = rng or random.Random(0)
+    n = circuit.num_qubits
+    num_p = graph.num_physical
+    dist = graph.dist
+    terms = _cost_terms(circuit)
+    by_qubit = [[] for _ in range(n)]
+    for idx, (_, a, b) in enumerate(terms):
+        by_qubit[a].append(idx)
+        by_qubit[b].append(idx)
+    region_lists = None
+    if regions is not None:
+        region_lists = [sorted(regions[q]) for q in range(n)]
+
+    pos = list(start.assignment)
+    occ = [-1] * num_p
+    for q, p in enumerate(pos):
+        occ[p] = q
+    cur = _terms_cost(terms, pos, dist)
+    best_cost = cur
+    best_pos = pos[:]
+    iters = _SA_MOVES_PER_QUBIT_PAIR * n * n
+
+    def propose():
+        q = rng.randrange(n)
+        if region_lists is not None and rng.random() >= _REGION_BIAS:
+            p = region_lists[q][rng.randrange(len(region_lists[q]))]
+        else:
+            p = rng.randrange(num_p)
+        return q, p
+
+    def move_delta(q, p):
+        r = occ[p]
+        affected = set(by_qubit[q])
+        if r != -1:
+            affected.update(by_qubit[r])
+        old_p = pos[q]
+        before = sum(terms[i][0] * dist[pos[terms[i][1]]][pos[terms[i][2]]] for i in affected)
+        pos[q] = p
+        if r != -1:
+            pos[r] = old_p
+        after = sum(terms[i][0] * dist[pos[terms[i][1]]][pos[terms[i][2]]] for i in affected)
+        pos[q] = old_p
+        if r != -1:
+            pos[r] = p
+        return after - before, r
+
+    probe_rng = random.Random(rng.randrange(1 << 62))
+    uphill = []
+    for _ in range(_SA_PROBE_MOVES):
+        q = probe_rng.randrange(n)
+        p = probe_rng.randrange(num_p)
+        if p == pos[q]:
+            continue
+        d, _ = move_delta(q, p)
+        if d > 0:
+            uphill.append(d)
+    temp = (sum(uphill) / len(uphill)) / math.log(2) if uphill else 1.0
+    cooling = _SA_FINAL_TEMP_RATIO ** (1.0 / max(iters, 1))
+
+    for _ in range(iters):
+        q, p = propose()
+        if p != pos[q]:
+            delta, r = move_delta(q, p)
+            if delta <= 0 or rng.random() < math.exp(-delta / temp):
+                old_p = pos[q]
+                pos[q] = p
+                occ[p] = q
+                occ[old_p] = r
+                if r != -1:
+                    pos[r] = old_p
+                cur += delta
+                if cur < best_cost:
+                    best_cost = cur
+                    best_pos = pos[:]
+        temp *= cooling
+    return Mapping(tuple(best_pos))

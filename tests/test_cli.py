@@ -274,6 +274,28 @@ def test_bench_rejects_bad_modes_before_any_job(capsys, monkeypatch, modes):
     assert calls == []
 
 
+@pytest.mark.parametrize("mode", ["srefine", "vcycle", "exact"])
+@pytest.mark.parametrize("scale", ["nan", "0", "-1", "inf"])
+def test_budget_scale_checked(capsys, monkeypatch, mode, scale):
+    import mlqls.cli as cli
+
+    monkeypatch.delenv("MLQLS_THREADS", raising=False)
+    argvs = [
+        ["compile", "--device", "path:4", "--gen", "chain:n=4", "--mode", mode],
+        ["bench", "--suite", "chain", "--sizes", "4", "--seeds", "1", "--modes", mode],
+    ]
+    if scale == "inf":  # no limit: the mapper and the exact solver run to the end
+        for argv in argvs:
+            assert main([*argv, f"--budget-scale={scale}"]) == 0
+        return
+    calls = []
+    monkeypatch.setattr(cli, "_solve", lambda *args: calls.append(args))
+    for argv in argvs:
+        assert main([*argv, f"--budget-scale={scale}"]) == 2
+        assert capsys.readouterr().err.startswith("error: --budget-scale must be positive")
+    assert calls == []
+
+
 _EMPTY_SUITES = {
     "qaoa_without_sizes": ["--suite", "qaoa"],
     "chain_without_sizes": ["--suite", "chain"],

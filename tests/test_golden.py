@@ -1,0 +1,121 @@
+"""Golden answers: the sha256 of ``solution_to_json`` for a few small seeded
+calls. Changes that claim to leave the search alone (speed-ups, refactors)
+must keep every digest; a change that means to alter answers updates them and
+says why.
+
+The digests were captured on CPython 3.11.7 and give the same values on
+3.10.13, 3.11.2 and 3.12.1. The searches sum floats, and ``sum()`` of floats
+rounds differently from Python 3.12 on, so on another minor version a
+mismatch is first checked against the parent checkout on that same
+interpreter (this file run as a script there, or ``tools/same_answers.py``);
+only a difference between the two trees is a change to the search.
+
+Print the current digests with ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from mlqls import (
+    Circuit,
+    ExactConfig,
+    FlowConfig,
+    Gate,
+    SrefineConfig,
+    gen_qaoa,
+    make_device,
+    run_mlqls,
+    solve_exact,
+    srefine_run,
+)
+from mlqls.verify import solution_to_json
+
+# Small mapper budgets keep each call well under a second.
+_SREFINE = SrefineConfig(candidates=2, mapper_first_budget=0.1, mapper_next_budget=0.05)
+
+
+def _random_circuit(num_qubits, num_gates, seed, one_qubit_share=0.0):
+    """Non-commutable circuit of random two-qubit gates, with roughly
+    ``one_qubit_share`` of single-qubit gates mixed in."""
+    rng = random.Random(seed)
+    gates = []
+    for i in range(num_gates):
+        if rng.random() < one_qubit_share:
+            gates.append(Gate(i, (rng.randrange(num_qubits),), "h"))
+        else:
+            gates.append(Gate(i, tuple(rng.sample(range(num_qubits), 2))))
+    return Circuit(num_qubits, tuple(gates))
+
+
+def _srefine_qaoa():
+    return srefine_run(gen_qaoa(12, 3), make_device("grid", 4), None, _SREFINE, random.Random(7))
+
+
+def _srefine_qaoa_grid5():
+    return srefine_run(gen_qaoa(20, 5), make_device("grid", 5), None, _SREFINE, random.Random(2))
+
+
+def _srefine_noncomm():
+    circ = _random_circuit(16, 30, 11)
+    return srefine_run(circ, make_device("grid", 4), None, _SREFINE, random.Random(1))
+
+
+def _srefine_noncomm_one_qubit_gates():
+    circ = _random_circuit(9, 40, 4, one_qubit_share=0.3)
+    return srefine_run(circ, make_device("grid", 3), None, _SREFINE, random.Random(3))
+
+
+def _flow_qaoa():
+    dev = make_device("grid", 5)
+    cfg = FlowConfig(
+        seed=4,
+        srefine=_SREFINE,
+        exact=ExactConfig(post_first_solution_budget=0.1, overall_budget=0.3),
+    )
+    return run_mlqls(gen_qaoa(20, 8), dev, cfg).final
+
+
+def _exact_cold():
+    dev = make_device("custom", edges=[(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)])
+    cfg = ExactConfig(post_first_solution_budget=1.0, overall_budget=3.0)
+    return solve_exact(_random_circuit(5, 9, 20), dev, cfg).solution
+
+
+CALLS = {
+    "srefine_qaoa12_grid4": _srefine_qaoa,
+    "srefine_qaoa20_grid5": _srefine_qaoa_grid5,
+    "srefine_noncomm16x30_grid4": _srefine_noncomm,
+    "srefine_noncomm9x40_1q_grid3": _srefine_noncomm_one_qubit_gates,
+    "flow_qaoa20_grid5": _flow_qaoa,
+    "exact_cold_5x9_grid2x3": _exact_cold,
+}
+
+
+def digest(sol) -> str:
+    text = json.dumps(solution_to_json(sol), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Captured on CPython 3.11.7, before the router's incremental ready-set
+# bookkeeping landed.
+GOLDEN = {
+    "exact_cold_5x9_grid2x3": "972aa60143da7ac78d9fd945a5debb0f6333aae48b675b9d6d7d5f639d4ca9e5",
+    "flow_qaoa20_grid5": "f983d1ea5810dc5657c6c88bb3db7f07a6e2a730ef9817a8a84367cc2b876419",
+    "srefine_noncomm16x30_grid4": "1b34af7e58a1f482be9308a169fcf97c3224623f11c78aa88436546647c68bd7",
+    "srefine_noncomm9x40_1q_grid3": "ef27c187d9e27a9536b6d491fcbb2dff61d45eb93b74876f83ca23264c41392f",
+    "srefine_qaoa12_grid4": "a72383d004f9915a335a46bbc655d77ec83135fa87649da9da4e6a8bac62fea2",
+    "srefine_qaoa20_grid5": "47b95347bb558f9bb622ef3f7c83a8bd17af54bcea697957c8044c6955ebe41f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_golden_answer(name):
+    assert digest(CALLS[name]()) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    for name in sorted(CALLS):
+        print(f'    "{name}": "{digest(CALLS[name]())}",')

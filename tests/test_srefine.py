@@ -2,17 +2,23 @@ import itertools
 import random
 
 import pytest
-from conftest import AStarState, heuristic_h, random_connected_graph
+from conftest import (
+    AStarState,
+    heuristic_h,
+    random_connected_graph,
+    reference_sa_initial_mapping,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mlqls.srefine as srefine
-from mlqls import Circuit, CouplingGraph, Mapping, MappingRegion, gen_queko, make_device
+from mlqls import Circuit, CouplingGraph, Gate, Mapping, MappingRegion, gen_queko, make_device
 from mlqls.exact import optimal_oracle
 from mlqls.srefine import (
     _GAMMA,
     SrefineConfig,
     _embed,
+    _Node,
     _RouteContext,
     astar_insert,
     forward_backward,
@@ -501,3 +507,84 @@ def test_embed_matches_recounting_reference(instance):
     got = _embed(constraints, [set(ns) for ns in graph.neighbors], hint, got_budget)
     assert got == expected
     assert got_budget == expected_budget
+
+
+@st.composite
+def routing_walks(draw):
+    """A random connected device of at most 7 nodes, a random commutable or
+    non-commutable circuit on it with some single-qubit gates, a start
+    mapping, and a seed for a walk over candidate SWAPs."""
+    n = draw(st.integers(2, 7))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    graph = CouplingGraph.build(n, sorted(random_connected_graph(rng, n, draw(st.integers(0, n)))))
+    nq = draw(st.integers(2, n))
+    qubit = st.integers(0, nq - 1)
+    pair = st.lists(qubit, min_size=2, max_size=2, unique=True)
+    operands = draw(st.lists(st.one_of(pair, st.lists(qubit, min_size=1, max_size=1)), max_size=16))
+    gates = tuple(Gate(i, tuple(qs), "cx" if len(qs) == 2 else "h") for i, qs in enumerate(operands))
+    circuit = Circuit(nq, gates, draw(st.booleans()))
+    start = Mapping(tuple(rng.sample(range(n), nq)))
+    return graph, circuit, start, draw(st.integers(0, 2**32))
+
+
+def rescanned(ctx, node):
+    """A copy of ``node`` whose closure is rerun from every unblocked gate and
+    whose sets, sums and estimate are rebuilt by scanning every gate."""
+    fresh = _Node()
+    fresh.pos = node.pos
+    fresh.indeg = bytearray(node.indeg)
+    fresh.exec_mask = node.exec_mask
+    fresh.exec_count = node.exec_count
+    fresh.exec2 = node.exec2
+    fresh.done_here = []
+    ctx._run_closure(fresh, [g for g in range(ctx.num_gates) if fresh.indeg[g] == 0])
+    ctx._recompute_sets(fresh)
+    fresh.h = ctx._node_h(fresh)
+    return fresh
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(routing_walks())
+def test_child_state_matches_rescan(instance):
+    graph, circuit, start, seed = instance
+    ctx = _RouteContext(circuit, graph, None)
+    node = ctx.make_root(start)
+    rng = random.Random(seed)
+    for _ in range(40):
+        edges = ctx.candidate_edges(node)
+        if not edges:
+            break
+        node = ctx.make_child(node, *edges[rng.randrange(len(edges))])
+        fresh = rescanned(ctx, node)
+        assert node.exec_mask == fresh.exec_mask  # the child's closure is complete
+        assert node.exec_count == bin(node.exec_mask).count("1")
+        assert node.ready == fresh.ready
+        assert node.onehop == fresh.onehop
+        assert (node.rsum, node.osum, node.psum) == (fresh.rsum, fresh.osum, fresh.psum)
+        assert node.h == fresh.h
+
+
+@st.composite
+def annealing_instances(draw):
+    """A random connected device of at most 6 nodes, a random circuit on it,
+    a random start, regions for some instances, and an RNG seed."""
+    n = draw(st.integers(2, 6))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    graph = CouplingGraph.build(n, sorted(random_connected_graph(rng, n, draw(st.integers(0, n)))))
+    nq = draw(st.integers(2, n))
+    pair = st.lists(st.integers(0, nq - 1), min_size=2, max_size=2, unique=True)
+    circuit = Circuit.from_pairs(nq, draw(st.lists(pair, max_size=12)), draw(st.booleans()))
+    start = Mapping(tuple(rng.sample(range(n), nq)))
+    regions = None
+    if draw(st.booleans()):
+        cells = st.frozensets(st.integers(0, n - 1), min_size=1)
+        regions = MappingRegion(tuple(draw(cells) for _ in range(nq)))
+    return graph, circuit, start, regions, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(annealing_instances())
+def test_annealing_matches_reference(instance):
+    graph, circuit, start, regions, seed = instance
+    expected = reference_sa_initial_mapping(circuit, graph, start, regions, random.Random(seed))
+    assert sa_initial_mapping(circuit, graph, start, regions, random.Random(seed)) == expected
