@@ -127,7 +127,11 @@ def _solve(
         }
     if mode == "exact":
         res = solve_exact(circuit, device, exact_cfg)
-        return res.solution, {"proven_optimal": res.proven_optimal, "timed_out": res.timed_out}
+        return res.solution, {
+            "proven_optimal": res.proven_optimal,
+            "timed_out": res.timed_out,
+            "nodes": res.nodes,
+        }
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -10,6 +10,14 @@ The budgets are counted in search nodes, not read off the clock: the
 ``ExactConfig`` seconds become node limits at ``_NODES_PER_SECOND``, so an
 answer depends on the instance and the budget only, never on machine load.
 
+Visited states are keyed by one int that packs the block, the occupant of
+every position, the executed and deferred gate masks and the node kind; the
+occupant part (``occ_code``) is kept up to date by every bind, unbind and
+SWAP. It is an exact encoding, not a hash, so two states share a key exactly
+when they are equal. A visited entry costs about 95 bytes on a 12-qubit
+instance on grid:4 (a 40-byte key plus the dict slot), against about 720
+bytes for a tuple of the same fields.
+
 The starting incumbent, which is also the answer when the budget runs out
 first, is the caller's verified ``warm_start`` (the V cycle passes an sRefine
 solution), or else one ``srefine.astar_insert`` routing pass from a
@@ -69,6 +77,7 @@ class ExactResult:
     solution: QlsSolution
     proven_optimal: bool
     timed_out: bool
+    nodes: int  # search nodes used, the unit of the budgets
 
     @property
     def swaps(self) -> int:
@@ -137,7 +146,7 @@ def solve_exact(
     report = verify(circuit, graph, incumbent)
     if not report.ok:  # internal bug guard; solutions must always verify
         raise AssertionError(f"exact solver produced invalid solution: {report.first_failure()}")
-    return ExactResult(incumbent, proven, timed_out)
+    return ExactResult(incumbent, proven, timed_out, searcher.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +177,16 @@ class _BlockSearch:
         self.anchor = max(range(circuit.num_qubits), key=lambda q: (deg[q], -q)) if deg else 0
         self.anchor_positions = _symmetry_positions(graph) or list(range(graph.num_physical))
         self.nodes = 0
+        # Visited-state keys are one int. From the low bits up: a tag (0 at a
+        # block node, edge index + 1 at a gap node), the deferred mask, the
+        # executed mask, occ_code, and the block number on top. occ_code holds
+        # occupant + 1 per position, num_qubits.bit_length() bits each.
+        occ_bits = circuit.num_qubits.bit_length()
+        self.occ_shift = [p * occ_bits for p in range(graph.num_physical)]
+        self.deferred_shift = len(self.edge_list).bit_length()
+        self.exec_shift = self.deferred_shift + self.num_gates
+        self.occ_code_shift = self.exec_shift + self.num_gates
+        self.block_shift = self.occ_code_shift + graph.num_physical * occ_bits
 
     def search(
         self, max_blocks: int, swap_cap: int, node_limit: float
@@ -181,11 +200,12 @@ class _BlockSearch:
         self.node_limit = node_limit
         self.best: QlsSolution | None = None
         self.occ = [-1] * self.graph.num_physical
+        self.occ_code = 0
         self.pos = [-1] * self.circuit.num_qubits
         self.indeg = self.dag.indegrees()
         self.exec_mask = 0
         self.ready2: set[int] = set()
-        self.deferred: set[int] = set()
+        self.deferred = 0  # bitmask of ready gates whose binding is put off
         # Needs no undo: the path that reaches _record has set every entry.
         self.gate_block = [-1] * self.num_gates
         self.swaps: list[SwapOp] = []
@@ -207,15 +227,19 @@ class _BlockSearch:
     def _bind(self, q: int, p: int) -> None:
         self.pos[q] = p
         self.occ[p] = q
+        self.occ_code += (q + 1) << self.occ_shift[p]
 
     def _unbind(self, q: int, p: int) -> None:
         self.pos[q] = -1
         self.occ[p] = -1
+        self.occ_code -= (q + 1) << self.occ_shift[p]
 
     def _exchange(self, a: int, b: int) -> None:
         """Swap the occupants of positions a and b."""
         qa, qb = self.occ[a], self.occ[b]
         self.occ[a], self.occ[b] = qb, qa
+        d = qb - qa
+        self.occ_code += (d << self.occ_shift[a]) - (d << self.occ_shift[b])
         if qa != -1:
             self.pos[qa] = b
         if qb != -1:
@@ -264,8 +288,16 @@ class _BlockSearch:
                     worst = need
         return worst
 
-    def _state_key(self, tag, block: int):
-        return (tag, block, tuple(self.occ), self.exec_mask, frozenset(self.deferred))
+    def _state_key(self, tag: int, block: int) -> int:
+        """The visited-state key: equal exactly when the tag, block, occupants,
+        executed gates and deferred gates are all equal."""
+        return (
+            block << self.block_shift
+            | self.occ_code << self.occ_code_shift
+            | self.exec_mask << self.exec_shift
+            | self.deferred << self.deferred_shift
+            | tag
+        )
 
     # -- search ------------------------------------------------------------
 
@@ -278,7 +310,7 @@ class _BlockSearch:
                 return
             if len(self.swaps) + self._lower_bound() > self.swap_cap:
                 return
-            key = self._state_key("b", block)
+            key = self._state_key(0, block)
             prev = self.visited.get(key)
             if prev is not None and prev <= len(self.swaps):
                 return
@@ -296,7 +328,7 @@ class _BlockSearch:
     def _pick_bindable(self) -> int | None:
         best = None
         for gid in sorted(self.ready2):
-            if gid in self.deferred:
+            if self.deferred >> gid & 1:
                 continue
             qa, qb = self.gate_qubits[gid]
             if self.pos[qa] < 0 or self.pos[qb] < 0:
@@ -325,15 +357,15 @@ class _BlockSearch:
                     self._dfs_block(block)
                     self._unbind(qb, pb)
                     self._unbind(qa, pa)
-        self.deferred.add(gid)
+        self.deferred |= 1 << gid
         self._dfs_block(block)
-        self.deferred.discard(gid)
+        self.deferred &= ~(1 << gid)
 
     def _dfs_gap(self, block: int, last_idx: int, in_gap: int) -> None:
         self._tick()
         if in_gap > 0:
             saved_deferred = self.deferred
-            self.deferred = set()
+            self.deferred = 0
             self._dfs_block(block + 1)
             self.deferred = saved_deferred
         if len(self.swaps) >= self.swap_cap:
@@ -348,7 +380,7 @@ class _BlockSearch:
             self._exchange(a, b)
             self.swaps.append(SwapOp((a, b), block))
             if len(self.swaps) + self._lower_bound() <= self.swap_cap:
-                key = self._state_key(("g", idx), block)
+                key = self._state_key(idx + 1, block)
                 prev = self.visited.get(key)
                 if prev is None or prev > len(self.swaps):
                     self.visited[key] = len(self.swaps)

@@ -265,6 +265,7 @@ class _Node:
         "parent",
         "edge",
         "done_here",
+        "code",
         "key",
     )
 
@@ -284,6 +285,10 @@ class _RouteContext:
         ]
         self.nq = circuit.num_qubits
         self.num_gates = len(circuit.gates)
+        # A node's code holds pos[q] in a field of pos_bits bits at
+        # pos_shift[q]; its visited key is code << num_gates | exec_mask.
+        pos_bits = (graph.num_physical - 1).bit_length()
+        self.pos_shift = [q * pos_bits for q in range(self.nq)]
         dag = build_dag(circuit)
         self.dag = dag
         self.base_indeg = bytes(min(d, 255) for d in dag.indegrees())
@@ -317,6 +322,7 @@ class _RouteContext:
         node.occ = [-1] * self.graph.num_physical
         for q, p in enumerate(node.pos):
             node.occ[p] = q
+        node.code = sum(p << s for p, s in zip(node.pos, self.pos_shift))
         node.indeg = bytearray(self.base_indeg)
         node.exec_mask = 0
         node.exec_count = 0
@@ -403,10 +409,14 @@ class _RouteContext:
         child.occ = node.occ.copy()
         qa, qb = node.occ[a], node.occ[b]
         child.occ[a], child.occ[b] = qb, qa
+        code = node.code
         if qa != -1:
             cpos[qa] = b
+            code += (b - a) << self.pos_shift[qa]
         if qb != -1:
             cpos[qb] = a
+            code += (a - b) << self.pos_shift[qb]
+        child.code = code
         child.parent = node
         child.edge = (min(a, b), max(a, b))
         child.g_cost = node.g_cost + 1
@@ -604,7 +614,8 @@ def _episode(ctx: _RouteContext, root: _Node, rng: random.Random):
     """One best-first search run; returns (goal, best_partial)."""
     seq = itertools.count()
     open_heap = [(root.h, -root.exec_count, next(seq), root)]
-    root.key = (tuple(root.pos), root.exec_mask)
+    num_gates = ctx.num_gates
+    root.key = root.code << num_gates | root.exec_mask
     visited = {root.key: 0}
     best_partial = root
     while open_heap:
@@ -616,7 +627,7 @@ def _episode(ctx: _RouteContext, root: _Node, rng: random.Random):
         if (node.exec_count, -node.h) > (best_partial.exec_count, -best_partial.h):
             best_partial = node
         for child in ctx.expand(node, rng):
-            child.key = ckey = (tuple(child.pos), child.exec_mask)
+            child.key = ckey = child.code << num_gates | child.exec_mask
             prev = visited.get(ckey)
             if prev is not None and prev <= child.g_cost:
                 continue
@@ -813,18 +824,19 @@ def _embed(
         return {}
     assign: dict[int, int] = {}
     used: set[int] = set()
-    placed = dict.fromkeys(variables, 0)  # partners of each variable in assign
+    # An unplaced variable scores (placed partners) * V + (constraints), both
+    # below V; placing it subtracts V * V, so only unplaced ones score >= 0.
+    size = len(variables)
+    placed_offset = size * size
+    score = [0] * (variables[-1] + 1)
+    for q in variables:
+        score[q] = len(constraints[q])
 
     def pick() -> int | None:
         """The unplaced variable with the most placed partners, then the most
-        constraints, then the lowest index."""
-        best_q, best_key = None, None
-        for q in variables:
-            if q not in assign:
-                key = (placed[q], len(constraints[q]))
-                if best_key is None or key > best_key:
-                    best_q, best_key = q, key
-        return best_q
+        constraints, then the lowest index (max keeps the first maximum)."""
+        q = max(variables, key=score.__getitem__)
+        return q if score[q] >= 0 else None
 
     def candidates(q: int) -> list[int]:
         partners = [assign[r] for r in constraints[q] if r in assign]
@@ -849,14 +861,16 @@ def _embed(
                 raise _BudgetExhausted
             assign[q] = p
             used.add(p)
+            score[q] -= placed_offset
             for r in constraints[q]:
-                placed[r] += 1
+                score[r] += size
             if bt():
                 return True
             del assign[q]
             used.discard(p)
+            score[q] += placed_offset
             for r in constraints[q]:
-                placed[r] -= 1
+                score[r] -= size
         return False
 
     try:

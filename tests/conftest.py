@@ -78,6 +78,16 @@ def random_connected_graph(rng: random.Random, n: int, extra: int):
     return edges
 
 
+def reference_state_key(search, tag: int, block: int) -> tuple:
+    """The exact solver's visited-state key as first written, a tuple: the
+    tag (``"b"`` at a block node, ``("g", edge index)`` at a gap node), the
+    block, the occupant of every position, the executed mask and the set of
+    deferred gates."""
+    deferred = frozenset(g for g in range(search.num_gates) if search.deferred >> g & 1)
+    old_tag = "b" if tag == 0 else ("g", tag - 1)
+    return (old_tag, block, tuple(search.occ), search.exec_mask, deferred)
+
+
 @dataclass(frozen=True)
 class AStarState:
     """One routing search state, for the reference heuristic below."""

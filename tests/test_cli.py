@@ -58,6 +58,14 @@ def test_verify_rejects_mutated_solution(tmp_path):
     assert main(["compile", "--mode", "verify", "--solution", str(mutated)]) == 1
 
 
+def test_exact_bundle_reports_nodes(tmp_path):
+    out = tmp_path / "sol.json"
+    argv = ["compile", "--device", "path:4", "--gen", "qaoa:n=4", "--mode", "exact"]
+    assert main([*argv, "--budget-scale", "0.01", "--out", str(out)]) == 0
+    meta = json.loads(out.read_text())["meta"]
+    assert meta["proven_optimal"] and meta["nodes"] > 0
+
+
 def test_compile_qasm_file(tmp_path):
     qasm = tmp_path / "c.qasm"
     qasm.write_text("OPENQASM 2.0;\nqreg q[3];\nh q[0];\ncx q[0],q[1];\ncx q[1],q[2];\n")

@@ -1,15 +1,19 @@
 import random
+import tracemalloc
 
 import pytest
-from conftest import random_connected_graph
+from conftest import random_connected_graph, reference_state_key
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlqls import Circuit, CouplingGraph, make_device
+from mlqls import Circuit, CouplingGraph, gen_qaoa, make_device
 from mlqls.exact import (
+    _NODES_PER_SECOND,
     ExactConfig,
     InstanceTooLarge,
     OracleLimitError,
+    _BlockSearch,
+    _Deadline,
     _symmetry_positions,
     optimal_oracle,
     solve_exact,
@@ -163,6 +167,31 @@ class TestSolveExact:
             routed = astar_insert(c, g, _extend_partial({}, c.num_qubits, g))
             assert res.swaps <= swap_count(routed)
 
+    def test_nodes_reported_against_the_limit(self, tshape5, triangle_circuit):
+        # a budget-bound solve stops at the first node past its limit; a
+        # proven solve finishes below it
+        cfg = ExactConfig(post_first_solution_budget=0.05, overall_budget=0.05)
+        limit = 0.05 * _NODES_PER_SECOND
+        rng = random.Random(0)
+        pairs = [tuple(rng.sample(range(14), 2)) for _ in range(40)]
+        bound = solve_exact(Circuit.from_pairs(14, pairs), make_device("grid", 4), cfg)
+        assert bound.timed_out and bound.nodes > limit
+        proven = solve_exact(triangle_circuit, tshape5, cfg)
+        assert proven.proven_optimal and 0 < proven.nodes < limit
+
+    def test_budget_bound_solve_stays_small(self):
+        # every visited state is one int key: this solve peaked at 16 MB when
+        # the keys were tuples holding the occupants and a frozenset
+        cfg = ExactConfig(post_first_solution_budget=0.3, overall_budget=0.3)
+        tracemalloc.start()
+        try:
+            res = solve_exact(gen_qaoa(12, 0), make_device("grid", 4), cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.timed_out
+        assert peak < 6_000_000
+
     def test_warm_start_tightens_incumbent(self, tshape5, triangle_circuit):
         from mlqls.srefine import srefine_run
         from mlqls.srefine import SrefineConfig
@@ -203,3 +232,35 @@ def test_exact_agrees_with_oracle(instance):
     assert optimum is not None  # never fewer SWAPs than the optimum
     if res.proven_optimal:
         assert res.swaps == optimum
+
+
+class _KeyRecorder(_BlockSearch):
+    """A search that checks, at every node, that its int state key and the
+    reference tuple key determine each other, and that ``occ_code`` matches
+    the occupants."""
+
+    def __init__(self, circuit, graph):
+        super().__init__(circuit, graph)
+        self.to_reference: dict = {}
+        self.from_reference: dict = {}
+
+    def _state_key(self, tag, block):
+        key = super()._state_key(tag, block)
+        ref = reference_state_key(self, tag, block)
+        assert self.to_reference.setdefault(key, ref) == ref
+        assert self.from_reference.setdefault(ref, key) == key
+        width = self.circuit.num_qubits.bit_length()
+        assert self.occ_code == sum((q + 1) << (p * width) for p, q in enumerate(self.occ))
+        return key
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_instances())
+def test_state_key_matches_reference(instance):
+    graph, c = instance
+    search = _KeyRecorder(c, graph)
+    try:
+        for blocks in range(1, 4):
+            search.search(max_blocks=blocks, swap_cap=len(c.gates), node_limit=3000)
+    except _Deadline:
+        pass

@@ -562,6 +562,8 @@ def test_child_state_matches_rescan(instance):
         assert node.onehop == fresh.onehop
         assert (node.rsum, node.osum, node.psum) == (fresh.rsum, fresh.osum, fresh.psum)
         assert node.h == fresh.h
+        width = (graph.num_physical - 1).bit_length()
+        assert node.code == sum(p << (q * width) for q, p in enumerate(node.pos))
 
 
 @st.composite
