@@ -29,7 +29,6 @@ class ClusterMap:
 
     fine_to_coarse: tuple[int, ...]
     coarse_to_fine: tuple[tuple[int, ...], ...]
-    kind: str
 
     def __post_init__(self) -> None:
         seen: set[int] = set()
@@ -49,9 +48,9 @@ class ClusterMap:
         return len(self.coarse_to_fine)
 
 
-def identity_cluster_map(n: int, kind: str) -> ClusterMap:
+def identity_cluster_map(n: int) -> ClusterMap:
     """Degenerate map: every fine qubit is its own cell."""
-    return ClusterMap(tuple(range(n)), tuple((i,) for i in range(n)), kind)
+    return ClusterMap(tuple(range(n)), tuple((i,) for i in range(n)))
 
 
 @dataclass(frozen=True)
@@ -181,9 +180,7 @@ def cluster_program(circuit: Circuit, sol: Mapping, graph: CouplingGraph) -> Clu
         else:
             cell_of[q] = len(cells)
             cells.append([q])
-    return ClusterMap(
-        tuple(cell_of), tuple(tuple(sorted(c)) for c in cells), kind="program"
-    )
+    return ClusterMap(tuple(cell_of), tuple(tuple(sorted(c)) for c in cells))
 
 
 def cluster_physical(
@@ -234,9 +231,7 @@ def cluster_physical(
         c = small[0]
         cell_of[p] = c
         cells[c].append(p)
-    return ClusterMap(
-        tuple(cell_of), tuple(tuple(sorted(c)) for c in cells), kind="physical"
-    )
+    return ClusterMap(tuple(cell_of), tuple(tuple(sorted(c)) for c in cells))
 
 
 def _is_connected_subset(graph: CouplingGraph, nodes: list[int]) -> bool:

@@ -10,6 +10,10 @@ The budgets are counted in search nodes, not read off the clock: the
 ``ExactConfig`` seconds become node limits at ``_NODES_PER_SECOND``, so an
 answer depends on the instance and the budget only, never on machine load.
 
+Gate progress is the executed-gate bitmask ``exec_mask`` alone: a gate is
+ready once it covers the gate's ``pred_masks`` entry, and a block node saves
+and restores that one int.
+
 Visited states are keyed by one int that packs the block, the occupant of
 every position, the executed and deferred gate masks and the node kind; the
 occupant part (``occ_code``) is kept up to date by every bind, unbind and
@@ -68,8 +72,9 @@ class ExactConfig:
     overall_budget: float = 300.0
 
     def __post_init__(self) -> None:
-        if self.post_first_solution_budget <= 0 or self.overall_budget <= 0:
-            raise ValueError("budgets must be positive")
+        for budget in (self.post_first_solution_budget, self.overall_budget):
+            if not budget > 0:  # also rejects nan
+                raise ValueError(f"budgets must be positive, got {budget}")
 
 
 @dataclass
@@ -164,7 +169,7 @@ class _BlockSearch:
         self.dist = graph.dist
         self.neighbors = graph.neighbors
         self.edge_list = graph.sorted_edges()
-        self.dag = build_dag(circuit)
+        self.pred_masks = build_dag(circuit).pred_masks
         self.num_gates = len(circuit.gates)
         self.all_mask = (1 << self.num_gates) - 1
         self.gate_qubits = [g.qubits for g in circuit.gates]
@@ -202,17 +207,12 @@ class _BlockSearch:
         self.occ = [-1] * self.graph.num_physical
         self.occ_code = 0
         self.pos = [-1] * self.circuit.num_qubits
-        self.indeg = self.dag.indegrees()
         self.exec_mask = 0
-        self.ready2: set[int] = set()
         self.deferred = 0  # bitmask of ready gates whose binding is put off
         # Needs no undo: the path that reaches _record has set every entry.
         self.gate_block = [-1] * self.num_gates
         self.swaps: list[SwapOp] = []
         self.visited: dict = {}
-        for gid in range(self.num_gates):
-            if self.indeg[gid] == 0 and self.is2[gid]:
-                self.ready2.add(gid)
         if any(self.is2):
             for p in self.anchor_positions:
                 self._bind(self.anchor, p)
@@ -250,30 +250,22 @@ class _BlockSearch:
         if self.nodes > self.node_limit:
             raise _Deadline
 
-    def _closure(self, block: int) -> tuple:
+    def _closure(self, block: int) -> None:
         """Execute every gate that is executable under the current bindings.
-        Returns the execution state from before, for ``_dfs_block`` to restore."""
-        snapshot = (self.exec_mask, self.indeg[:], set(self.ready2))
-        progress = True
-        while progress:
-            progress = False
-            for gid in range(self.num_gates):
-                if self.exec_mask >> gid & 1 or self.indeg[gid] != 0:
+        Predecessors have lower ids, so one ascending pass reaches the
+        fixpoint."""
+        mask = self.exec_mask
+        for gid in range(self.num_gates):
+            if mask >> gid & 1 or self.pred_masks[gid] & ~mask:
+                continue
+            if self.is2[gid]:
+                qa, qb = self.gate_qubits[gid]
+                pa, pb = self.pos[qa], self.pos[qb]
+                if pa < 0 or pb < 0 or self.dist[pa][pb] != 1:
                     continue
-                if self.is2[gid]:
-                    qa, qb = self.gate_qubits[gid]
-                    pa, pb = self.pos[qa], self.pos[qb]
-                    if pa < 0 or pb < 0 or self.dist[pa][pb] != 1:
-                        continue
-                    self.ready2.discard(gid)
-                self.exec_mask |= 1 << gid
-                self.gate_block[gid] = block
-                for succ in self.dag.succs[gid]:
-                    self.indeg[succ] -= 1
-                    if self.indeg[succ] == 0 and self.is2[succ]:
-                        self.ready2.add(succ)
-                progress = True
-        return snapshot
+            mask |= 1 << gid
+            self.gate_block[gid] = block
+        self.exec_mask = mask
 
     def _lower_bound(self) -> int:
         worst = 0
@@ -303,7 +295,8 @@ class _BlockSearch:
 
     def _dfs_block(self, block: int) -> None:
         self._tick()
-        snapshot = self._closure(block)
+        saved_mask = self.exec_mask
+        self._closure(block)
         try:
             if self.exec_mask == self.all_mask:
                 self._record(block)
@@ -323,18 +316,18 @@ class _BlockSearch:
                 return
             self._dfs_gap(block, last_idx=-1, in_gap=0)
         finally:
-            self.exec_mask, self.indeg, self.ready2 = snapshot
+            self.exec_mask = saved_mask
 
     def _pick_bindable(self) -> int | None:
-        best = None
-        for gid in sorted(self.ready2):
-            if self.deferred >> gid & 1:
+        executed = self.exec_mask
+        skip = executed | self.deferred
+        for gid in range(self.num_gates):
+            if not self.is2[gid] or skip >> gid & 1 or self.pred_masks[gid] & ~executed:
                 continue
             qa, qb = self.gate_qubits[gid]
             if self.pos[qa] < 0 or self.pos[qb] < 0:
-                best = gid
-                break
-        return best
+                return gid
+        return None
 
     def _branch_bindings(self, block: int, gid: int) -> None:
         qa, qb = self.gate_qubits[gid]

@@ -169,8 +169,8 @@ def _solve_hierarchy(
         level = hierarchy.levels[0]
         regions = interpolate(
             coarse_sol,
-            identity_cluster_map(level.circuit.num_qubits, "program"),
-            identity_cluster_map(level.graph.num_physical, "physical"),
+            identity_cluster_map(level.circuit.num_qubits),
+            identity_cluster_map(level.graph.num_physical),
             level.graph,
         )
         refined = srefine_run(

@@ -40,7 +40,8 @@ class Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """An ordered gate list over ``num_qubits`` program qubits.
+    """An ordered gate list over ``num_qubits`` program qubits. Gate ``i``
+    has id ``i``: every module indexes gates by id.
 
     ``commutable=True`` marks circuits whose gates may execute in any order
     (phase-splitting circuits); their dependency DAG is empty.
@@ -53,7 +54,9 @@ class Circuit:
     def __post_init__(self) -> None:
         if self.num_qubits < 0:
             raise ValueError(f"num_qubits must not be negative, got {self.num_qubits}")
-        for g in self.gates:
+        for i, g in enumerate(self.gates):
+            if g.id != i:
+                raise ValueError(f"gate at index {i} has id {g.id}; gate ids must be 0, 1, 2, ...")
             if any(q < 0 or q >= self.num_qubits for q in g.qubits):
                 raise ValueError(f"gate {g.id}: qubit index out of range")
 
@@ -109,11 +112,13 @@ class Mapping:
 class DependencyDag:
     """Gate dependency structure of a circuit.
 
-    Gates sharing a qubit are chained in list order; commutable circuits have
-    no edges at all. ``parents2``/``children2`` link each two-qubit gate to the
-    nearest earlier/later two-qubit gate on each of its qubits, and
-    ``depth2[g]`` counts two-qubit ancestors along the longest chain (used for
-    position-decay weights).
+    Gates sharing a qubit are chained in list order, so every edge runs from
+    a lower gate id to a higher one; commutable circuits have no edges at all.
+    ``pred_masks[g]`` has bit ``p`` set for each predecessor ``p``: gate ``g``
+    may run once ``pred_masks[g] & ~executed == 0``. ``parents2``/``children2``
+    link each two-qubit gate to the nearest earlier/later two-qubit gate on
+    each of its qubits, and ``depth2[g]`` counts two-qubit ancestors along the
+    longest chain (used for position-decay weights).
     """
 
     def __init__(self, circuit: Circuit):
@@ -121,6 +126,7 @@ class DependencyDag:
         self.num_gates = n
         preds: list[set[int]] = [set() for _ in range(n)]
         succs: list[set[int]] = [set() for _ in range(n)]
+        pred_masks = [0] * n
         parents2: list[tuple[int, ...]] = [()] * n
         children2: list[list[int]] = [[] for _ in range(n)]
         depth2 = [0] * n
@@ -134,6 +140,7 @@ class DependencyDag:
                     if q in last_gate:
                         preds[g.id].add(last_gate[q])
                         succs[last_gate[q]].add(g.id)
+                        pred_masks[g.id] |= 1 << last_gate[q]
                     if g.is_two_qubit and q in last2:
                         par2.append(last2[q])
                 depth2[g.id] = max((chain_depth.get(q, 0) for q in g.qubits), default=0)
@@ -148,6 +155,7 @@ class DependencyDag:
                     last_gate[q] = g.id
         self.preds = tuple(tuple(sorted(s)) for s in preds)
         self.succs = tuple(tuple(sorted(s)) for s in succs)
+        self.pred_masks = tuple(pred_masks)
         self.parents2 = tuple(parents2)
         self.children2 = tuple(tuple(cs) for cs in children2)
         self.depth2 = tuple(depth2)

@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .cluster import MappingRegion
-from .model import Circuit, CouplingGraph, Mapping, build_dag, uncommon_qubits
+from .model import Circuit, CouplingGraph, DependencyDag, Mapping, build_dag, uncommon_qubits
 from .verify import QlsSolution, SolutionBuilder, SwapOp, asap_depth, swap_count, verify
 
 _MAPPER_NODES_PER_SECOND = 50_000
@@ -51,26 +51,43 @@ class SrefineConfig:
     mapper_first_budget: float = 10.0
     mapper_next_budget: float = 1.0
 
+    def __post_init__(self) -> None:
+        if self.candidates < 1:
+            raise ValueError(f"candidates must be at least 1, got {self.candidates}")
+        for budget in (self.mapper_first_budget, self.mapper_next_budget):
+            if not budget > 0:  # also rejects nan
+                raise ValueError(f"mapper budgets must be positive, got {budget}")
+
 
 # ---------------------------------------------------------------------------
 # Annealing cost
 # ---------------------------------------------------------------------------
 
 
+def _related_pairs(circuit: Circuit, dag: DependencyDag) -> list[tuple[tuple[int, int], ...]]:
+    """Per gate, in ``dag.parents2`` order, the two qubits that the gate and
+    each parent do not share; a parent on the same qubit pair adds none. Both
+    the annealing cost and the router's lookahead charge these pairs."""
+    related = []
+    for g in circuit.gates:
+        pairs = (uncommon_qubits(g, circuit.gates[p]) for p in dag.parents2[g.id])
+        related.append(tuple(pair for pair in pairs if pair is not None))
+    return related
+
+
 def _cost_terms(circuit: Circuit) -> list[tuple[float, int, int]]:
     """Weighted distance terms: one per two-qubit gate, plus one per
     (gate, parent) related-qubit pair."""
     dag = build_dag(circuit)
+    related = _related_pairs(circuit, dag)
     terms: list[tuple[float, int, int]] = []
     for g in circuit.gates:
         if not g.is_two_qubit:
             continue
         w = _GATE_WEIGHT_DECAY ** dag.depth2[g.id]
         terms.append((w, g.qubits[0], g.qubits[1]))
-        for pid in dag.parents2[g.id]:
-            pair = uncommon_qubits(g, circuit.gates[pid])
-            if pair is not None:
-                terms.append((w, pair[0], pair[1]))
+        for a, b in related[g.id]:
+            terms.append((w, a, b))
     return terms
 
 
@@ -257,9 +274,6 @@ class _Node:
         "osum",
         "psum",
         "exec_mask",
-        "exec_count",
-        "exec2",
-        "indeg",
         "g_cost",
         "h",
         "parent",
@@ -291,10 +305,11 @@ class _RouteContext:
         self.pos_shift = [q * pos_bits for q in range(self.nq)]
         dag = build_dag(circuit)
         self.dag = dag
-        self.base_indeg = bytes(min(d, 255) for d in dag.indegrees())
+        self.pred_masks = dag.pred_masks
+        self.all_mask = (1 << self.num_gates) - 1
         self.is2 = [g.is_two_qubit for g in circuit.gates]
         self.q2 = [g.qubits if g.is_two_qubit else None for g in circuit.gates]
-        self.num2 = sum(1 for f in self.is2 if f)
+        self.mask2 = sum(1 << g.id for g in circuit.gates if g.is_two_qubit)
         # (gate, other qubit) for each two-qubit gate on a qubit
         self.partners: list[list[tuple[int, int]]] = [[] for _ in range(self.nq)]
         for g in circuit.gates:
@@ -302,17 +317,12 @@ class _RouteContext:
                 a, b = g.qubits
                 self.partners[a].append((g.id, b))
                 self.partners[b].append((g.id, a))
-        self.related_pairs: list[list[tuple[int, int]]] = [[] for _ in range(self.num_gates)]
+        self.related_pairs = _related_pairs(circuit, dag)
         self.related_by_qubit: list[list[tuple[int, int, int]]] = [[] for _ in range(self.nq)]
-        for g in circuit.gates:
-            if not g.is_two_qubit:
-                continue
-            for pid in dag.parents2[g.id]:
-                pair = uncommon_qubits(g, circuit.gates[pid])
-                if pair is not None:
-                    self.related_pairs[g.id].append(pair)
-                    self.related_by_qubit[pair[0]].append((g.id, pair[0], pair[1]))
-                    self.related_by_qubit[pair[1]].append((g.id, pair[0], pair[1]))
+        for gid, pairs in enumerate(self.related_pairs):
+            for a, b in pairs:
+                self.related_by_qubit[a].append((gid, a, b))
+                self.related_by_qubit[b].append((gid, a, b))
 
     # -- node construction -------------------------------------------------
 
@@ -323,29 +333,28 @@ class _RouteContext:
         for q, p in enumerate(node.pos):
             node.occ[p] = q
         node.code = sum(p << s for p, s in zip(node.pos, self.pos_shift))
-        node.indeg = bytearray(self.base_indeg)
         node.exec_mask = 0
-        node.exec_count = 0
-        node.exec2 = 0
         node.g_cost = 0
         node.parent = None
         node.edge = None
         node.done_here = []
-        seeds = [gid for gid in range(self.num_gates) if node.indeg[gid] == 0]
+        seeds = [gid for gid in range(self.num_gates) if not self.pred_masks[gid]]
         self._run_closure(node, seeds)
         self._recompute_sets(node)
         node.h = self._node_h(node)
         return node
 
     def _run_closure(self, node: _Node, candidates: list[int]) -> list[int]:
-        """Execute every executable gate reachable from the candidate seeds.
+        """Execute every executable gate reachable from the candidate seeds; a
+        successor is queued once ``exec_mask`` covers its predecessors.
         Returns the two-qubit gates it reached but could not run, because
         their qubits are not adjacent."""
+        pred_masks = self.pred_masks
         blocked = []
         queue = deque(candidates)
         while queue:
             gid = queue.popleft()
-            if node.exec_mask & (1 << gid) or node.indeg[gid] != 0:
+            if node.exec_mask >> gid & 1 or pred_masks[gid] & ~node.exec_mask:
                 continue
             if self.is2[gid]:
                 qa, qb = self.q2[gid]
@@ -353,13 +362,9 @@ class _RouteContext:
                     blocked.append(gid)
                     continue
             node.exec_mask |= 1 << gid
-            node.exec_count += 1
-            if self.is2[gid]:
-                node.exec2 += 1
             node.done_here.append(gid)
             for succ in self.dag.succs[gid]:
-                node.indeg[succ] -= 1
-                if node.indeg[succ] == 0:
+                if not pred_masks[succ] & ~node.exec_mask:
                     queue.append(succ)
         return blocked
 
@@ -368,9 +373,10 @@ class _RouteContext:
         scratch by scanning every gate. Only ``make_root`` calls it; children
         derive theirs from the parent in ``make_child``, and the tests use
         this scan as the oracle for that derivation."""
+        open_mask = ~node.exec_mask
         ready = set()
         for gid in range(self.num_gates):
-            if self.is2[gid] and node.indeg[gid] == 0 and not node.exec_mask & (1 << gid):
+            if self.is2[gid] and open_mask >> gid & 1 and not self.pred_masks[gid] & open_mask:
                 ready.add(gid)
         node.ready = ready
         node.rsum = sum(
@@ -396,7 +402,7 @@ class _RouteContext:
             h += node.rsum / (len(node.ready) * self.nq)
         if node.onehop:
             h += (_ALPHA * node.osum + _BETA * node.psum) / (len(node.onehop) * self.nq)
-        h += _GAMMA * (self.num2 - node.exec2)
+        h += _GAMMA * (self.mask2 & ~node.exec_mask).bit_count()
         return h
 
     def make_child(self, node: _Node, a: int, b: int) -> _Node:
@@ -442,14 +448,10 @@ class _RouteContext:
                 elif gid in onehop:
                     dosum += d - dist[pos[q]][pos[other]]
         child.exec_mask = node.exec_mask
-        child.exec_count = node.exec_count
-        child.exec2 = node.exec2
         if executable:
-            child.indeg = bytearray(node.indeg)
             blocked = self._run_closure(child, executable)
             self._advance_sets(child, node, executable, blocked, drsum)
         else:
-            child.indeg = node.indeg
             child.ready = ready
             child.onehop = onehop
             child.rsum = node.rsum + drsum
@@ -578,7 +580,7 @@ def astar_insert(
     for gid in node.done_here:
         builder.execute(gid)
     forced_streak = 0
-    while node.exec_count < ctx.num_gates:
+    while node.exec_mask != ctx.all_mask:
         goal, partial = _episode(ctx, node, rng)
         if goal is not None:
             _commit_path(builder, node, goal)
@@ -599,7 +601,7 @@ def astar_insert(
         if forced_streak > 2 * graph.num_physical:
             node = _force_nearest_gate(ctx, node, builder)
             forced_streak = 0
-    assert node.exec_count == ctx.num_gates
+    assert node.exec_mask == ctx.all_mask
     sol = builder.build()
     sol = QlsSolution(
         sol.block_mappings, sol.gate_block, sol.swaps, asap_depth(circuit, sol)
@@ -613,7 +615,7 @@ def astar_insert(
 def _episode(ctx: _RouteContext, root: _Node, rng: random.Random):
     """One best-first search run; returns (goal, best_partial)."""
     seq = itertools.count()
-    open_heap = [(root.h, -root.exec_count, next(seq), root)]
+    open_heap = [(root.h, -root.exec_mask.bit_count(), next(seq), root)]
     num_gates = ctx.num_gates
     root.key = root.code << num_gates | root.exec_mask
     visited = {root.key: 0}
@@ -622,9 +624,10 @@ def _episode(ctx: _RouteContext, root: _Node, rng: random.Random):
         _, _, _, node = heapq.heappop(open_heap)
         if visited.get(node.key, node.g_cost) < node.g_cost:
             continue
-        if node.exec_count == ctx.num_gates:
+        if node.exec_mask == ctx.all_mask:
             return node, best_partial
-        if (node.exec_count, -node.h) > (best_partial.exec_count, -best_partial.h):
+        done = node.exec_mask.bit_count()
+        if (done, -node.h) > (best_partial.exec_mask.bit_count(), -best_partial.h):
             best_partial = node
         for child in ctx.expand(node, rng):
             child.key = ckey = child.code << num_gates | child.exec_mask
@@ -634,7 +637,7 @@ def _episode(ctx: _RouteContext, root: _Node, rng: random.Random):
             visited[ckey] = child.g_cost
             heapq.heappush(
                 open_heap,
-                (child.g_cost + child.h, -child.exec_count, next(seq), child),
+                (child.g_cost + child.h, -child.exec_mask.bit_count(), next(seq), child),
             )
         if len(open_heap) > _STATE_THRESHOLD:
             open_heap = heapq.nsmallest(_TRIM_KEEP, open_heap)

@@ -261,7 +261,7 @@ class SolutionBuilder:
             self._blocks.append(tuple(self._current))
         self._gate_block[gate_id] = len(self._blocks) - 1
 
-    def build(self, depth: int | None = None) -> QlsSolution:
+    def build(self) -> QlsSolution:
         if any(b < 0 for b in self._gate_block):
             missing = [i for i, b in enumerate(self._gate_block) if b < 0]
             raise ValueError(f"gates never executed: {missing[:5]}")
@@ -269,7 +269,7 @@ class SolutionBuilder:
             tuple(Mapping(m) for m in self._blocks),
             tuple(self._gate_block),
             tuple(self._swaps),
-            depth,
+            None,
         )
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
 
 import pytest
@@ -86,6 +87,36 @@ def reference_state_key(search, tag: int, block: int) -> tuple:
     deferred = frozenset(g for g in range(search.num_gates) if search.deferred >> g & 1)
     old_tag = "b" if tag == 0 else ("g", tag - 1)
     return (old_tag, block, tuple(search.occ), search.exec_mask, deferred)
+
+
+def reference_closure(circuit: Circuit, graph: CouplingGraph, pos, executed: int) -> int:
+    """The executed-gate mask once every gate that can run has run, starting
+    from ``executed`` at positions ``pos`` (``pos[q] < 0``: q is unbound).
+    In-degree counting over ``build_dag(circuit).succs``, as the searches
+    first did it: a gate runs when its count of unrun predecessors is 0 and,
+    for a two-qubit gate, its qubits sit on adjacent positions."""
+    dag = build_dag(circuit)
+    indeg = dag.indegrees()
+    for gid in range(len(circuit.gates)):
+        if executed >> gid & 1:
+            for s in dag.succs[gid]:
+                indeg[s] -= 1
+    queue = deque(g for g in range(len(circuit.gates)) if indeg[g] == 0)
+    while queue:
+        gid = queue.popleft()
+        if executed >> gid & 1:
+            continue
+        qubits = circuit.gates[gid].qubits
+        if len(qubits) == 2:
+            pa, pb = pos[qubits[0]], pos[qubits[1]]
+            if pa < 0 or pb < 0 or graph.dist[pa][pb] != 1:
+                continue
+        executed |= 1 << gid
+        for s in dag.succs[gid]:
+            indeg[s] -= 1
+            if indeg[s] == 0:
+                queue.append(s)
+    return executed
 
 
 @dataclass(frozen=True)

@@ -258,8 +258,8 @@ def test_criterion_6_property_suite():
     witness_sol = QlsSolution((wit,), tuple(0 for _ in c.gates), ())
     regions = interpolate(
         witness_sol,
-        identity_cluster_map(c.num_qubits, "program"),
-        identity_cluster_map(grid4.num_physical, "physical"),
+        identity_cluster_map(c.num_qubits),
+        identity_cluster_map(grid4.num_physical),
         grid4,
     )
     for q in range(c.num_qubits):

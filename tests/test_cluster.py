@@ -90,7 +90,7 @@ class TestClusterPhysical:
         assert sorted(p for cell in phys.coarse_to_fine for p in cell) == list(range(9))
 
     def test_inconsistent_program_cells_rejected(self, path4):
-        bad = ClusterMap((0, 1, 0, 1), ((0, 2), (1, 3)), kind="program")
+        bad = ClusterMap((0, 1, 0, 1), ((0, 2), (1, 3)))
         with pytest.raises(ClusteringError, match="disconnected"):
             cluster_physical(path4, bad, Mapping((0, 1, 2, 3)))
 
@@ -109,8 +109,8 @@ class TestCoarsen:
     def _setup(self, path4):
         c = Circuit.from_pairs(4, [(0, 1), (0, 2), (2, 3)])
         sol = Mapping((0, 1, 2, 3))
-        prog = ClusterMap((0, 0, 1, 1), ((0, 1), (2, 3)), kind="program")
-        phys = ClusterMap((0, 0, 1, 1), ((0, 1), (2, 3)), kind="physical")
+        prog = ClusterMap((0, 0, 1, 1), ((0, 1), (2, 3)))
+        phys = ClusterMap((0, 0, 1, 1), ((0, 1), (2, 3)))
         return c, sol, prog, phys
 
     def test_intra_cell_gate_omitted(self, path4):
@@ -120,15 +120,15 @@ class TestCoarsen:
 
     def test_cross_cluster_gate_mapped(self, path4):
         c = Circuit.from_pairs(4, [(0, 2)])
-        prog = ClusterMap((0, 0, 1, 1), ((0, 1), (2, 3)), kind="program")
-        phys = ClusterMap((0, 0, 1, 1), ((0, 1), (2, 3)), kind="physical")
+        prog = ClusterMap((0, 0, 1, 1), ((0, 1), (2, 3)))
+        phys = ClusterMap((0, 0, 1, 1), ((0, 1), (2, 3)))
         coarse_c, _ = coarsen(c, path4, prog, phys)
         assert [g.qubits for g in coarse_c.gates] == [(0, 1)]
 
     def test_square_contracts_to_edge(self):
         g = make_device("grid", 2)
-        phys = ClusterMap((0, 0, 1, 1), ((0, 1), (2, 3)), kind="physical")
-        prog = identity_cluster_map(0, "program")
+        phys = ClusterMap((0, 0, 1, 1), ((0, 1), (2, 3)))
+        prog = identity_cluster_map(0)
         c = Circuit(0, ())
         _, coarse_g = coarsen(c, g, prog, phys)
         assert coarse_g.num_physical == 2
@@ -162,24 +162,24 @@ class TestCoarsen:
 
 class TestInterpolate:
     def test_single_coarse_vertex_gives_whole_device(self, path4):
-        prog = ClusterMap((0, 0), ((0, 1),), kind="program")
-        phys = ClusterMap((0, 0, 0, 0), ((0, 1, 2, 3),), kind="physical")
+        prog = ClusterMap((0, 0), ((0, 1),))
+        phys = ClusterMap((0, 0, 0, 0), ((0, 1, 2, 3),))
         coarse_sol = QlsSolution((Mapping((0,)),), (), ())
         regions = interpolate(coarse_sol, prog, phys, path4)
         assert regions[0] == regions[1] == frozenset(range(4))
 
     def test_isolated_cell_is_itself(self):
         g1 = make_device("custom", n=1, edges=[])
-        prog = ClusterMap((0,), ((0,),), kind="program")
-        phys = ClusterMap((0,), ((0,),), kind="physical")
+        prog = ClusterMap((0,), ((0,),))
+        phys = ClusterMap((0,), ((0,),))
         coarse_sol = QlsSolution((Mapping((0,)),), (), ())
         regions = interpolate(coarse_sol, prog, phys, g1)
         assert regions[0] == frozenset({0})
 
     def test_region_is_cell_plus_one_hop(self, grid3):
-        prog = ClusterMap((0, 1), ((0,), (1,)), kind="program")
+        prog = ClusterMap((0, 1), ((0,), (1,)))
         phys_cells = tuple((p,) for p in range(9))
-        phys = ClusterMap(tuple(range(9)), phys_cells, kind="physical")
+        phys = ClusterMap(tuple(range(9)), phys_cells)
         coarse_sol = QlsSolution((Mapping((4, 0)),), (), ())
         regions = interpolate(coarse_sol, prog, phys, grid3)
         assert regions[0] == frozenset({4, 1, 3, 5, 7})
@@ -201,9 +201,9 @@ class TestInterpolate:
 
 def test_cluster_map_partition_validated():
     with pytest.raises(ClusteringError):
-        ClusterMap((0, 0), ((0,),), kind="program")
+        ClusterMap((0, 0), ((0,),))
     with pytest.raises(ClusteringError):
-        ClusterMap((0, 1), ((0, 1), (1,)), kind="program")
+        ClusterMap((0, 1), ((0, 1), (1,)))
 
 
 def test_hierarchy_json(grid4):

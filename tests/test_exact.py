@@ -2,11 +2,11 @@ import random
 import tracemalloc
 
 import pytest
-from conftest import random_connected_graph, reference_state_key
+from conftest import random_connected_graph, reference_closure, reference_state_key
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlqls import Circuit, CouplingGraph, gen_qaoa, make_device
+from mlqls import Circuit, CouplingGraph, Gate, gen_qaoa, make_device
 from mlqls.exact import (
     _NODES_PER_SECOND,
     ExactConfig,
@@ -150,6 +150,8 @@ class TestSolveExact:
     def test_budget_config_validated(self):
         with pytest.raises(ValueError):
             ExactConfig(post_first_solution_budget=0)
+        with pytest.raises(ValueError):
+            ExactConfig(overall_budget=float("nan"))
 
     def test_timeout_still_returns_verified_solution(self):
         # a dense instance with a near-zero budget forces best-so-far, which
@@ -206,9 +208,10 @@ class TestSolveExact:
 
 
 @st.composite
-def small_instances(draw):
+def small_instances(draw, one_qubit_gates=False):
     """A random connected device of at most 6 nodes (sometimes misnamed as a
-    library path) and a random circuit of at most 8 gates on it."""
+    library path) and a random circuit of at most 8 gates on it, some of them
+    single-qubit gates if ``one_qubit_gates``."""
     n = draw(st.integers(2, 6))
     rng = random.Random(draw(st.integers(0, 2**32)))
     edges = random_connected_graph(rng, n, draw(st.integers(0, n)))
@@ -216,8 +219,12 @@ def small_instances(draw):
     graph = CouplingGraph.build(n, sorted(edges), name=name)
     nq = draw(st.integers(2, n))
     pair = st.lists(st.integers(0, nq - 1), min_size=2, max_size=2, unique=True)
-    pairs = draw(st.lists(pair, max_size=8))
-    return graph, Circuit.from_pairs(nq, pairs, draw(st.booleans()))
+    gate = pair
+    if one_qubit_gates:
+        gate = st.one_of(pair, st.lists(st.integers(0, nq - 1), min_size=1, max_size=1))
+    operands = draw(st.lists(gate, max_size=8))
+    gates = tuple(Gate(i, tuple(qs), "cx" if len(qs) == 2 else "h") for i, qs in enumerate(operands))
+    return graph, Circuit(nq, gates, draw(st.booleans()))
 
 
 # 500 derandomized examples are enough to catch anchor orbits taken from the
@@ -259,6 +266,28 @@ class _KeyRecorder(_BlockSearch):
 def test_state_key_matches_reference(instance):
     graph, c = instance
     search = _KeyRecorder(c, graph)
+    try:
+        for blocks in range(1, 4):
+            search.search(max_blocks=blocks, swap_cap=len(c.gates), node_limit=3000)
+    except _Deadline:
+        pass
+
+
+class _ClosureRecorder(_BlockSearch):
+    """A search that checks every closure against the in-degree reference:
+    from the executed gates before it, at the current bindings."""
+
+    def _closure(self, block):
+        before = self.exec_mask
+        super()._closure(block)
+        assert self.exec_mask == reference_closure(self.circuit, self.graph, self.pos, before)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_instances(one_qubit_gates=True))
+def test_closure_matches_reference(instance):
+    graph, c = instance
+    search = _ClosureRecorder(c, graph)
     try:
         for blocks in range(1, 4):
             search.search(max_blocks=blocks, swap_cap=len(c.gates), node_limit=3000)

@@ -84,6 +84,13 @@ def _exact_cold():
     return solve_exact(_random_circuit(5, 9, 20), dev, cfg).solution
 
 
+def _exact_one_qubit_gates():
+    dev = make_device("custom", edges=[(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)])
+    cfg = ExactConfig(post_first_solution_budget=1.0, overall_budget=3.0)
+    circ = _random_circuit(6, 16, 5, one_qubit_share=0.3)
+    return solve_exact(circ, dev, cfg).solution
+
+
 CALLS = {
     "srefine_qaoa12_grid4": _srefine_qaoa,
     "srefine_qaoa20_grid5": _srefine_qaoa_grid5,
@@ -91,6 +98,7 @@ CALLS = {
     "srefine_noncomm9x40_1q_grid3": _srefine_noncomm_one_qubit_gates,
     "flow_qaoa20_grid5": _flow_qaoa,
     "exact_cold_5x9_grid2x3": _exact_cold,
+    "exact_6x16_1q_grid2x3": _exact_one_qubit_gates,
 }
 
 
@@ -100,8 +108,11 @@ def digest(sol) -> str:
 
 
 # Captured on CPython 3.11.7, before the router's incremental ready-set
-# bookkeeping landed.
+# bookkeeping landed; exact_6x16_1q_grid2x3 (11 two-qubit and 5 single-qubit
+# gates, 2 SWAPs, proven optimal) before both searches dropped their
+# in-degree counters.
 GOLDEN = {
+    "exact_6x16_1q_grid2x3": "99bcd4d127ca5cface87a1ae1f465a9934789191bebec66b8fb5ade25fa13949",
     "exact_cold_5x9_grid2x3": "972aa60143da7ac78d9fd945a5debb0f6333aae48b675b9d6d7d5f639d4ca9e5",
     "flow_qaoa20_grid5": "f983d1ea5810dc5657c6c88bb3db7f07a6e2a730ef9817a8a84367cc2b876419",
     "srefine_noncomm16x30_grid4": "1b34af7e58a1f482be9308a169fcf97c3224623f11c78aa88436546647c68bd7",

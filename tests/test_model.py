@@ -91,6 +91,12 @@ class TestCircuitTypes:
         with pytest.raises(ValueError):
             Circuit(2, (Gate(0, (0, 5)),))
 
+    def test_gate_ids_follow_list_order(self):
+        with pytest.raises(ValueError, match="id 5"):
+            Circuit(2, (Gate(5, (0, 1)),))
+        with pytest.raises(ValueError):
+            Circuit(2, (Gate(1, (0, 1)), Gate(0, (1,), "h")))
+
     def test_json_roundtrip(self):
         c = Circuit.from_pairs(5, [(0, 1), (2, 3), (1, 4)], commutable=True)
         c2 = circuit_from_json(circuit_to_json(c))
@@ -122,6 +128,10 @@ class TestBuildDag:
         assert set(dag.parents2[3]) == {0, 2}
         # the single-qubit gate still chains the dependency order
         assert dag.preds[2] == (1,)
+
+    def test_pred_masks(self):
+        c = Circuit(4, (Gate(0, (0, 1)), Gate(1, (1,), "h"), Gate(2, (1, 2)), Gate(3, (0, 2))))
+        assert build_dag(c).pred_masks == (0, 0b1, 0b10, 0b101)
 
 
 class TestDistances:

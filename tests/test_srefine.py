@@ -6,6 +6,7 @@ from conftest import (
     AStarState,
     heuristic_h,
     random_connected_graph,
+    reference_closure,
     reference_sa_initial_mapping,
 )
 from hypothesis import given, settings
@@ -14,10 +15,12 @@ from hypothesis import strategies as st
 import mlqls.srefine as srefine
 from mlqls import Circuit, CouplingGraph, Gate, Mapping, MappingRegion, gen_queko, make_device
 from mlqls.exact import optimal_oracle
+from mlqls.model import build_dag
 from mlqls.srefine import (
     _GAMMA,
     SrefineConfig,
     _embed,
+    _related_pairs,
     _Node,
     _RouteContext,
     astar_insert,
@@ -58,6 +61,14 @@ class TestSaCost:
     def test_single_adjacent_gate_costs_one(self, path4):
         c = Circuit.from_pairs(2, [(0, 1)])
         assert sa_cost(c, Mapping((0, 1)), path4) == 1.0
+
+    def test_related_pairs_follow_parents2_order(self):
+        gates = [(0, 1), (1,), (1, 2), (0, 2), (0, 2)]
+        c = Circuit(4, tuple(Gate(i, qs) for i, qs in enumerate(gates)))
+        # gate 3's parents are gate 0 (via qubit 0), then gate 2 (via qubit
+        # 2); gate 4's only parent, gate 3, acts on the same pair
+        expected = [(), (), ((0, 2),), ((1, 2), (0, 1)), ()]
+        assert _related_pairs(c, build_dag(c)) == expected
 
     def test_clustered_beats_spread_on_star(self, grid3):
         c = star_circuit()
@@ -198,7 +209,7 @@ class TestHeuristic:
         node = ctx.make_root(Mapping((0, 2, 6, 8, 4, 1)))
         for _ in range(40):
             edges = ctx.candidate_edges(node)
-            if not edges or node.exec2 == ctx.num2:
+            if not edges or not ctx.mask2 & ~node.exec_mask:
                 break
             a, b = edges[rng.randrange(len(edges))]
             node = ctx.make_child(node, a, b)
@@ -392,8 +403,8 @@ class TestSrefineRun:
             witness_sol = QlsSolution((wit,), tuple(0 for _ in c.gates), ())
             regions = interpolate(
                 witness_sol,
-                identity_cluster_map(c.num_qubits, "program"),
-                identity_cluster_map(grid4.num_physical, "physical"),
+                identity_cluster_map(c.num_qubits),
+                identity_cluster_map(grid4.num_physical),
                 grid4,
             )
             refined = srefine_run(c, grid4, regions, cfg, random.Random(seed))
@@ -424,6 +435,24 @@ class TestSrefineRun:
         sol = srefine_run(triangle_circuit, grid3, None, cfg, random.Random(0))
         assert swap_count(sol) == 1
         assert len(calls) == cfg.candidates
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(candidates=0),
+            dict(mapper_first_budget=float("nan")),
+            dict(mapper_next_budget=0.0),
+            dict(mapper_first_budget=-1.0),
+        ],
+    )
+    def test_config_validated(self, fields):
+        with pytest.raises(ValueError):
+            SrefineConfig(**fields)
+
+    def test_unlimited_budgets_allowed(self, path4):
+        cfg = SrefineConfig(candidates=1, mapper_first_budget=float("inf"))
+        c = Circuit.from_pairs(4, [(0, 1), (1, 2), (2, 3)])
+        assert swap_count(srefine_run(c, path4, None, cfg, random.Random(0))) == 0
 
 
 def reference_embed(constraints, graph, hint, budget):
@@ -528,19 +557,24 @@ def routing_walks(draw):
 
 
 def rescanned(ctx, node):
-    """A copy of ``node`` whose closure is rerun from every unblocked gate and
-    whose sets, sums and estimate are rebuilt by scanning every gate."""
+    """A copy of ``node`` whose closure is rerun from every gate and whose
+    sets, sums and estimate are rebuilt by scanning every gate."""
     fresh = _Node()
     fresh.pos = node.pos
-    fresh.indeg = bytearray(node.indeg)
     fresh.exec_mask = node.exec_mask
-    fresh.exec_count = node.exec_count
-    fresh.exec2 = node.exec2
     fresh.done_here = []
-    ctx._run_closure(fresh, [g for g in range(ctx.num_gates) if fresh.indeg[g] == 0])
+    ctx._run_closure(fresh, list(range(ctx.num_gates)))
     ctx._recompute_sets(fresh)
     fresh.h = ctx._node_h(fresh)
     return fresh
+
+
+def test_gate_waits_for_every_predecessor(grid3):
+    # gate 2 follows gate 0 on qubit 1 and gate 1 on qubit 2; gate 0 is
+    # blocked, so gate 2 waits although gate 1 runs and its qubits are adjacent
+    c = Circuit.from_pairs(4, [(0, 1), (2, 3), (1, 2)])
+    root = _RouteContext(c, grid3, None).make_root(Mapping((8, 0, 1, 2)))
+    assert root.exec_mask == 0b010 == reference_closure(c, grid3, root.pos, 0)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -549,15 +583,18 @@ def test_child_state_matches_rescan(instance):
     graph, circuit, start, seed = instance
     ctx = _RouteContext(circuit, graph, None)
     node = ctx.make_root(start)
+    expected = reference_closure(circuit, graph, node.pos, 0)
+    assert node.exec_mask == expected
     rng = random.Random(seed)
     for _ in range(40):
         edges = ctx.candidate_edges(node)
         if not edges:
             break
         node = ctx.make_child(node, *edges[rng.randrange(len(edges))])
+        expected = reference_closure(circuit, graph, node.pos, expected)
+        assert node.exec_mask == expected
         fresh = rescanned(ctx, node)
         assert node.exec_mask == fresh.exec_mask  # the child's closure is complete
-        assert node.exec_count == bin(node.exec_mask).count("1")
         assert node.ready == fresh.ready
         assert node.onehop == fresh.onehop
         assert (node.rsum, node.osum, node.psum) == (fresh.rsum, fresh.osum, fresh.psum)
