@@ -16,6 +16,7 @@ import itertools
 import math
 import random
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .cluster import MappingRegion
@@ -710,13 +711,15 @@ def forward_backward(
     the previous final mapping, until the SWAP count stops improving; the best
     pass (re-oriented forward) wins."""
     rng = rng or random.Random(0)
-    rev = circuit.reversed()
+    rev = None  # the reversed circuit, built when a backward pass first runs
     mapping = m0
     best: QlsSolution | None = None
     best_n = None
     prev = None
     forward = True
     for _ in range(_MAX_PASSES):
+        if not forward and rev is None:
+            rev = circuit.reversed()
         circ = circuit if forward else rev
         sol = astar_insert(circ, graph, mapping, regions, rng)
         n = swap_count(sol)
@@ -752,8 +755,10 @@ def initial_mapper(
     rng: random.Random | None = None,
 ) -> Mapping | None:
     """Grow a set of gate-adjacency constraints in random order, keeping each
-    gate only while the conjunction stays satisfiable; returns the satisfying
-    mapping with the lowest annealing cost.
+    gate only while the conjunction stays satisfiable. When every distinct
+    gate pair is kept, returns the full embedding, which routes with no
+    SWAPs; otherwise the accepted placement with the lowest annealing cost
+    (the earliest among equals), or None if none was accepted.
 
     Satisfiability is decided by backtracking embedding search with a
     deterministic node budget derived from ``budget_seconds``.
@@ -778,55 +783,59 @@ def _initial_mapper_ex(
     required: dict[int, set[int]] = {}
     assign: dict[int, int] = {}
     accepted_pairs: set[tuple[int, int]] = set()
-    best_map: Mapping | None = None
-    best_cost = math.inf
+    placements: list[dict[int, int]] = []  # every accepted placement, in order
     total = len({(min(g.qubits), max(g.qubits)) for g in order})
-    terms = _cost_terms(circuit)
-    nbr_sets = [set(ns) for ns in graph.neighbors]
-
-    def consider(candidate: dict[int, int]) -> None:
-        nonlocal best_map, best_cost
-        full = _extend_partial(candidate, circuit.num_qubits, graph)
-        cost = _terms_cost(terms, full.assignment, graph.dist)
-        if cost < best_cost:
-            best_cost = cost
-            best_map = full
+    nbr_masks = [sum(1 << nb for nb in ns) for ns in graph.neighbors]
 
     for gate in order:
         a, b = gate.qubits
         pair = (min(a, b), max(a, b))
         if pair in accepted_pairs:
             continue
-        trial = {q: set(nbrs) for q, nbrs in required.items()}
-        trial.setdefault(a, set()).add(b)
-        trial.setdefault(b, set()).add(a)
-        solution = _embed(trial, nbr_sets, assign, budget)
+        # Try the pair in place; a rejected pair is taken out again.
+        required.setdefault(a, set()).add(b)
+        required.setdefault(b, set()).add(a)
+        solution = _embed(required, nbr_masks, assign, budget)
         if solution is not None:
             accepted_pairs.add(pair)
-            required = trial
             assign = solution
-            consider(assign)
+            placements.append(solution)
+        else:
+            for q, r in ((a, b), (b, a)):
+                required[q].discard(r)
+                if not required[q]:
+                    del required[q]
         if budget[0] <= 0:
             break
     if len(accepted_pairs) == total:  # the full embedding is SWAP-free
         return _extend_partial(assign, circuit.num_qubits, graph), total, total
+    # Only now is a placement picked, so only now is one scored.
+    terms = _cost_terms(circuit)
+    best_map: Mapping | None = None
+    best_cost = math.inf
+    for placement in placements:
+        full = _extend_partial(placement, circuit.num_qubits, graph)
+        cost = _terms_cost(terms, full.assignment, graph.dist)
+        if cost < best_cost:
+            best_cost = cost
+            best_map = full
     return best_map, len(accepted_pairs), total
 
 
 def _embed(
     constraints: dict[int, set[int]],
-    nbr_sets: list[set[int]],
+    nbr_masks: list[int],
     hint: dict[int, int],
     budget: list[float],
 ) -> dict[int, int] | None:
     """Backtracking search for an injective placement making every constrained
-    pair adjacent (``nbr_sets[p]`` are the neighbours of position p). Treats
-    budget exhaustion as unsatisfiable."""
+    pair adjacent (bit p' of ``nbr_masks[p]`` is set when p' neighbours
+    position p). Treats budget exhaustion as unsatisfiable."""
     variables = sorted(constraints)
     if not variables:
         return {}
     assign: dict[int, int] = {}
-    used: set[int] = set()
+    free = (1 << len(nbr_masks)) - 1  # positions not yet used
     # An unplaced variable scores (placed partners) * V + (constraints), both
     # below V; placing it subtracts V * V, so only unplaced ones score >= 0.
     size = len(variables)
@@ -841,20 +850,25 @@ def _embed(
         q = max(variables, key=score.__getitem__)
         return q if score[q] >= 0 else None
 
-    def candidates(q: int) -> list[int]:
-        partners = [assign[r] for r in constraints[q] if r in assign]
-        if partners:
-            cands = set.intersection(*(nbr_sets[p] for p in partners)) - used
-        else:
-            cands = set(range(len(nbr_sets))) - used
-        out = sorted(cands)
+    def candidates(q: int) -> Iterator[int]:
+        """Free positions adjacent to every placed partner of q (any free
+        position if none is placed), hint first, then in ascending order."""
+        cands = free
+        for r in constraints[q]:
+            p = assign.get(r)
+            if p is not None:
+                cands &= nbr_masks[p]
         hinted = hint.get(q)
-        if hinted in cands:
-            out.remove(hinted)
-            out.insert(0, hinted)
-        return out
+        if hinted is not None and cands >> hinted & 1:
+            yield hinted
+            cands ^= 1 << hinted
+        while cands:
+            low = cands & -cands
+            yield low.bit_length() - 1
+            cands ^= low
 
     def bt() -> bool:
+        nonlocal free
         q = pick()
         if q is None:
             return True
@@ -863,14 +877,14 @@ def _embed(
             if budget[0] <= 0:
                 raise _BudgetExhausted
             assign[q] = p
-            used.add(p)
+            free ^= 1 << p
             score[q] -= placed_offset
             for r in constraints[q]:
                 score[r] += size
             if bt():
                 return True
             del assign[q]
-            used.discard(p)
+            free ^= 1 << p
             score[q] += placed_offset
             for r in constraints[q]:
                 score[r] -= size

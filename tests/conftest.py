@@ -11,11 +11,14 @@ from mlqls.srefine import (
     _ALPHA,
     _BETA,
     _GAMMA,
+    _MAPPER_NODES_PER_SECOND,
     _REGION_BIAS,
     _SA_FINAL_TEMP_RATIO,
     _SA_MOVES_PER_QUBIT_PAIR,
     _SA_PROBE_MOVES,
+    _BudgetExhausted,
     _cost_terms,
+    _extend_partial,
     _terms_cost,
 )
 
@@ -245,3 +248,98 @@ def reference_sa_initial_mapping(circuit, graph, start, regions=None, rng=None):
                     best_pos = pos[:]
         temp *= cooling
     return Mapping(tuple(best_pos))
+
+
+def reference_embed(constraints, graph, hint, budget):
+    """The embedding search as first written, on sets: ``pick`` recounts
+    each variable's placed partners at every search node, and a variable's
+    candidates are the intersection of its placed partners' neighbour sets
+    minus the used positions, sorted, hint first."""
+    variables = sorted(constraints)
+    if not variables:
+        return {}
+    assign, used = {}, set()
+    nbr_sets = [set(ns) for ns in graph.neighbors]
+
+    def pick():
+        best_q, best_key = None, None
+        for q in variables:
+            if q in assign:
+                continue
+            placed = sum(1 for r in constraints[q] if r in assign)
+            key = (-placed, -len(constraints[q]), q)
+            if best_key is None or key < best_key:
+                best_q, best_key = q, key
+        return best_q
+
+    def candidates(q):
+        placed = [assign[r] for r in constraints[q] if r in assign]
+        if placed:
+            cands = set.intersection(*(nbr_sets[p] for p in placed)) - used
+        else:
+            cands = set(range(graph.num_physical)) - used
+        out = sorted(cands)
+        if hint.get(q) in cands:
+            out.remove(hint[q])
+            out.insert(0, hint[q])
+        return out
+
+    def bt():
+        q = pick()
+        if q is None:
+            return True
+        for p in candidates(q):
+            budget[0] -= 1
+            if budget[0] <= 0:
+                raise _BudgetExhausted
+            assign[q] = p
+            used.add(p)
+            if bt():
+                return True
+            del assign[q]
+            used.discard(p)
+        return False
+
+    try:
+        return dict(assign) if bt() else None
+    except _BudgetExhausted:
+        return None
+
+
+def reference_initial_mapper(circuit, graph, budget_seconds, rng):
+    """The constraint-growing mapper with eager scoring, as first written:
+    each trial copies the accepted constraints, ``reference_embed`` decides
+    it, and every accepted placement is scored at once, the lowest cost
+    kept (strict ``<``, so the earliest of equals). When every pair is
+    accepted the full embedding is returned instead. Returns ``(mapping,
+    accepted, total, budget left)``; the last tells a test whether the node
+    budget ran out."""
+    order = [g for g in circuit.gates if g.is_two_qubit]
+    rng.shuffle(order)
+    nodes = budget_seconds * _MAPPER_NODES_PER_SECOND
+    budget = [nodes if nodes == math.inf else max(1000, int(nodes))]
+    required, assign, accepted_pairs = {}, {}, set()
+    best_map, best_cost = None, math.inf
+    total = len({(min(g.qubits), max(g.qubits)) for g in order})
+    terms = _cost_terms(circuit)
+    for gate in order:
+        a, b = gate.qubits
+        pair = (min(a, b), max(a, b))
+        if pair in accepted_pairs:
+            continue
+        trial = {q: set(nbrs) for q, nbrs in required.items()}
+        trial.setdefault(a, set()).add(b)
+        trial.setdefault(b, set()).add(a)
+        solution = reference_embed(trial, graph, assign, budget)
+        if solution is not None:
+            accepted_pairs.add(pair)
+            required, assign = trial, solution
+            full = _extend_partial(assign, circuit.num_qubits, graph)
+            cost = _terms_cost(terms, full.assignment, graph.dist)
+            if cost < best_cost:
+                best_cost, best_map = cost, full
+        if budget[0] <= 0:
+            break
+    if len(accepted_pairs) == total:
+        best_map = _extend_partial(assign, circuit.num_qubits, graph)
+    return best_map, len(accepted_pairs), total, budget[0]

@@ -7,6 +7,8 @@ from conftest import (
     heuristic_h,
     random_connected_graph,
     reference_closure,
+    reference_embed,
+    reference_initial_mapper,
     reference_sa_initial_mapping,
 )
 from hypothesis import given, settings
@@ -308,6 +310,30 @@ class TestForwardBackward:
         assert swap_count(sol) == 0
         assert len(routes) == 1
 
+    @staticmethod
+    def count_reversals(monkeypatch):
+        """Record the circuit of each ``Circuit.reversed`` call."""
+        calls = []
+        real = Circuit.reversed
+        monkeypatch.setattr(Circuit, "reversed", lambda self: calls.append(self) or real(self))
+        return calls
+
+    def test_zero_swap_pass_builds_no_reversed_circuit(self, grid4, monkeypatch):
+        reversals = self.count_reversals(monkeypatch)
+        c, wit = gen_queko(grid4, 5, 0.5, seed=4)
+        assert swap_count(forward_backward(c, grid4, wit, rng=random.Random(0))) == 0
+        assert reversals == []
+
+    def test_backward_passes_share_one_reversed_circuit(self, grid3, monkeypatch):
+        reversals = self.count_reversals(monkeypatch)
+        routes = spy(monkeypatch, "astar_insert")
+        rng = random.Random(2)
+        c = Circuit.from_pairs(7, [tuple(rng.sample(range(7), 2)) for _ in range(12)])
+        m0 = Mapping(tuple(rng.sample(range(9), 7)))
+        forward_backward(c, grid3, m0, rng=random.Random(2))
+        assert len(routes) == 4  # forward, backward, forward, backward
+        assert len(reversals) == 1 and reversals[0] is c
+
     def test_reverse_solution_is_valid_for_original(self, grid3):
         rng = random.Random(31)
         pairs = [tuple(rng.sample(range(6), 2)) for _ in range(9)]
@@ -455,58 +481,19 @@ class TestSrefineRun:
         assert swap_count(srefine_run(c, path4, None, cfg, random.Random(0))) == 0
 
 
-def reference_embed(constraints, graph, hint, budget):
-    """The embedding search as first written: ``pick`` recounts each
-    variable's placed partners at every search node."""
-    variables = sorted(constraints)
-    if not variables:
-        return {}
-    assign, used = {}, set()
-    nbr_sets = [set(ns) for ns in graph.neighbors]
+def neighbour_masks(graph):
+    """Bit p' of entry p is set when positions p and p' are adjacent."""
+    return [sum(1 << nb for nb in ns) for ns in graph.neighbors]
 
-    def pick():
-        best_q, best_key = None, None
-        for q in variables:
-            if q in assign:
-                continue
-            placed = sum(1 for r in constraints[q] if r in assign)
-            key = (-placed, -len(constraints[q]), q)
-            if best_key is None or key < best_key:
-                best_q, best_key = q, key
-        return best_q
 
-    def candidates(q):
-        placed = [assign[r] for r in constraints[q] if r in assign]
-        if placed:
-            cands = set.intersection(*(nbr_sets[p] for p in placed)) - used
-        else:
-            cands = set(range(graph.num_physical)) - used
-        out = sorted(cands)
-        if hint.get(q) in cands:
-            out.remove(hint[q])
-            out.insert(0, hint[q])
-        return out
-
-    def bt():
-        q = pick()
-        if q is None:
-            return True
-        for p in candidates(q):
-            budget[0] -= 1
-            if budget[0] <= 0:
-                raise srefine._BudgetExhausted
-            assign[q] = p
-            used.add(p)
-            if bt():
-                return True
-            del assign[q]
-            used.discard(p)
-        return False
-
-    try:
-        return dict(assign) if bt() else None
-    except srefine._BudgetExhausted:
-        return None
+def check_embed(graph, constraints, hint, budget):
+    """``_embed`` on neighbour masks places every variable where the
+    set-based reference does, and leaves the same budget."""
+    expected_budget, got_budget = [budget], [budget]
+    expected = reference_embed(constraints, graph, hint, expected_budget)
+    got = _embed(constraints, neighbour_masks(graph), hint, got_budget)
+    assert got == expected
+    assert got_budget == expected_budget
 
 
 @st.composite
@@ -530,12 +517,83 @@ def embed_instances(draw):
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(embed_instances())
 def test_embed_matches_recounting_reference(instance):
-    graph, constraints, hint, budget = instance
-    expected_budget, got_budget = [budget], [budget]
-    expected = reference_embed(constraints, graph, hint, expected_budget)
-    got = _embed(constraints, [set(ns) for ns in graph.neighbors], hint, got_budget)
-    assert got == expected
-    assert got_budget == expected_budget
+    check_embed(*instance)
+
+
+# Devices of more than 64 positions, so that a neighbour mask spans several
+# machine words.
+WIDE_DEVICES = (make_device("eagle127"), make_device("grid", 12))
+
+
+@st.composite
+def wide_embed_instances(draw):
+    """On eagle127 or grid:12: constraints among up to 12 qubits that a
+    random connected placement satisfies (each adjacent pair kept with
+    probability 4/5), up to 3 random pairs that may break that, a hint of
+    random positions for about half the qubits, and a budget that sometimes
+    runs out."""
+    graph = draw(st.sampled_from(WIDE_DEVICES))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    nq = draw(st.integers(2, 12))
+    placed = [rng.randrange(graph.num_physical)]
+    while len(placed) < nq:
+        frontier = {nb for p in placed for nb in graph.neighbors[p]}.difference(placed)
+        placed.append(rng.choice(sorted(frontier)))
+    pairs = [
+        (a, b)
+        for a, b in itertools.combinations(range(nq), 2)
+        if graph.has_edge(placed[a], placed[b]) and rng.random() < 0.8
+    ]
+    pairs += [rng.sample(range(nq), 2) for _ in range(draw(st.integers(0, 3)))]
+    constraints = {}
+    for a, b in pairs:
+        constraints.setdefault(a, set()).add(b)
+        constraints.setdefault(b, set()).add(a)
+    hint = {q: rng.randrange(graph.num_physical) for q in range(nq) if rng.random() < 0.5}
+    return graph, constraints, hint, draw(st.integers(1, 2000))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(wide_embed_instances())
+def test_embed_matches_reference_on_wide_devices(instance):
+    check_embed(*instance)
+
+
+@st.composite
+def mapper_instances(draw):
+    """A random connected device of n = 4 to 10 nodes, a circuit of n - 3 to
+    n qubits (at least 2) with up to 40 gates, some single-qubit, a budget
+    of 1000 or 2500 mapper nodes, which denser circuits run out of, and a
+    seed for the gate order."""
+    n = draw(st.integers(4, 10))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    graph = CouplingGraph.build(n, sorted(random_connected_graph(rng, n, draw(st.integers(0, n)))))
+    nq = draw(st.integers(max(2, n - 3), n))
+    operands = [
+        rng.sample(range(nq), 2) if rng.random() < 0.85 else [rng.randrange(nq)]
+        for _ in range(draw(st.integers(0, 40)))
+    ]
+    gates = tuple(Gate(i, tuple(qs), "cx" if len(qs) == 2 else "h") for i, qs in enumerate(operands))
+    circuit = Circuit(nq, gates, draw(st.booleans()))
+    return graph, circuit, draw(st.sampled_from([0.01, 0.05])), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(mapper_instances())
+def test_mapper_matches_eager_reference(instance):
+    graph, circuit, budget_seconds, seed = instance
+    expected = reference_initial_mapper(circuit, graph, budget_seconds, random.Random(seed))
+    got = srefine._initial_mapper_ex(circuit, graph, budget_seconds, random.Random(seed))
+    assert got == expected[:3]
+
+
+def test_mapper_matches_eager_reference_when_budget_runs_out(grid4):
+    rng = random.Random(7)
+    c = Circuit.from_pairs(16, [tuple(rng.sample(range(16), 2)) for _ in range(60)])
+    expected = reference_initial_mapper(c, grid4, 0.01, random.Random(0))
+    mapping, accepted, total, budget_left = expected
+    assert budget_left <= 0 and 0 < accepted < total
+    assert srefine._initial_mapper_ex(c, grid4, 0.01, random.Random(0)) == expected[:3]
 
 
 @st.composite
