@@ -56,7 +56,6 @@ from .srefine import (
     initial_mapper,
     initial_matching,
     reverse_solution,
-    sa_cost,
     sa_initial_mapping,
     srefine_run,
 )

@@ -4,7 +4,8 @@ Program qubits are paired by interaction affinity, but only when the guiding
 solution maps them onto adjacent physical qubits; device clusters are then
 induced from the program clusters so both sides stay consistent. Interpolation
 turns a coarse solution into per-qubit mapping regions (cluster cells plus a
-one-hop ring) that steer refinement at the finer level.
+one-hop ring). At the finer level the regions seed the start matching and bias
+annealing; routing is unconstrained by them and draws no random numbers.
 """
 
 from __future__ import annotations
@@ -55,7 +56,12 @@ def identity_cluster_map(n: int) -> ClusterMap:
 
 @dataclass(frozen=True)
 class MappingRegion:
-    """Per-program-qubit sets of encouraged physical qubits."""
+    """Per-program-qubit sets of encouraged physical qubits.
+
+    Refinement seeds its start mapping from a matching into the regions and
+    biases annealing toward them; routing is unconstrained by them and draws
+    no random numbers.
+    """
 
     regions: tuple[frozenset[int], ...]
 
@@ -307,7 +313,9 @@ def interpolate(
     """Project a coarse solution down to per-qubit mapping regions.
 
     Each fine program qubit gets the fine qubits of the physical cell its
-    coarse image occupies in the first block, expanded by one hop.
+    coarse image occupies in the first block, expanded by one hop. The regions
+    seed refinement's start matching and bias its annealing; routing is
+    unconstrained by them and draws no random numbers.
     """
     first = coarse_sol.block_mappings[0]
     regions = []

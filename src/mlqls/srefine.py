@@ -39,7 +39,6 @@ _BETA = 0.5  # one-hop related-qubit distance
 _GAMMA = 0.1  # per gate not yet executed
 _STATE_THRESHOLD = 100  # trim the frontier beyond this many open states
 _TRIM_KEEP = 50  # open states kept by a trim
-_REGION_ESCAPE_PROB = 0.1  # probability of trying a SWAP that leaves a region
 _MAX_CANDIDATE_GATES = 16  # cap on ready gates generating candidate SWAPs
 _MAX_PASSES = 20  # forward/backward routing passes
 
@@ -94,12 +93,6 @@ def _cost_terms(circuit: Circuit) -> list[tuple[float, int, int]]:
 
 def _terms_cost(terms: list[tuple[float, int, int]], pos, dist) -> float:
     return sum(w * dist[pos[a]][pos[b]] for w, a, b in terms)
-
-
-def sa_cost(circuit: Circuit, mapping: Mapping, graph: CouplingGraph) -> float:
-    """Distance cost of a mapping: decayed gate distances plus related-qubit
-    distances for consecutive gates sharing a qubit."""
-    return _terms_cost(_cost_terms(circuit), mapping.assignment, graph.dist)
 
 
 def sa_initial_mapping(
@@ -288,10 +281,9 @@ class _Node:
 class _RouteContext:
     """Static data shared by all nodes of one routing run."""
 
-    def __init__(self, circuit: Circuit, graph: CouplingGraph, regions: MappingRegion | None):
+    def __init__(self, circuit: Circuit, graph: CouplingGraph):
         self.circuit = circuit
         self.graph = graph
-        self.regions = regions
         self.dist = graph.dist
         self.neighbors = graph.neighbors
         self.edges_at = [
@@ -540,49 +532,32 @@ class _RouteContext:
                     return True
         return False
 
-    def expand(self, node: _Node, rng: random.Random) -> list[_Node]:
-        children = []
-        regions = self.regions
-        for a, b in self.candidate_edges(node):
-            if not self._improves(node, a, b):
-                continue
-            if regions is not None:
-                escapes = False
-                for q, new_p in ((node.occ[a], b), (node.occ[b], a)):
-                    if q != -1 and new_p not in regions[q]:
-                        escapes = True
-                        break
-                if escapes and rng.random() >= _REGION_ESCAPE_PROB:
-                    continue
-            children.append(self.make_child(node, a, b))
-        return children
+    def expand(self, node: _Node) -> list[_Node]:
+        return [
+            self.make_child(node, a, b)
+            for a, b in self.candidate_edges(node)
+            if self._improves(node, a, b)
+        ]
 
 
-def astar_insert(
-    circuit: Circuit,
-    graph: CouplingGraph,
-    m0: Mapping,
-    regions: MappingRegion | None = None,
-    rng: random.Random | None = None,
-) -> QlsSolution:
+def astar_insert(circuit: Circuit, graph: CouplingGraph, m0: Mapping) -> QlsSolution:
     """Route a circuit from a fixed initial mapping by searching over SWAP
     sequences; gates execute as soon as they become adjacent, forming blocks.
 
     Always returns a verified solution. If frontier trimming strands the
     search, the best partial state is committed and the cheapest SWAP is
-    forced, so progress never stalls.
+    forced, so progress never stalls. Draws no random numbers.
     """
-    rng = rng or random.Random(0)
     if circuit.num_qubits > graph.num_physical:
         raise ValueError("more program qubits than physical qubits")
-    ctx = _RouteContext(circuit, graph, regions)
+    ctx = _RouteContext(circuit, graph)
     builder = SolutionBuilder(ctx.num_gates, m0)
     node = ctx.make_root(m0)
     for gid in node.done_here:
         builder.execute(gid)
     forced_streak = 0
     while node.exec_mask != ctx.all_mask:
-        goal, partial = _episode(ctx, node, rng)
+        goal, partial = _episode(ctx, node)
         if goal is not None:
             _commit_path(builder, node, goal)
             node = goal
@@ -613,7 +588,7 @@ def astar_insert(
     return sol
 
 
-def _episode(ctx: _RouteContext, root: _Node, rng: random.Random):
+def _episode(ctx: _RouteContext, root: _Node):
     """One best-first search run; returns (goal, best_partial)."""
     seq = itertools.count()
     open_heap = [(root.h, -root.exec_mask.bit_count(), next(seq), root)]
@@ -630,7 +605,7 @@ def _episode(ctx: _RouteContext, root: _Node, rng: random.Random):
         done = node.exec_mask.bit_count()
         if (done, -node.h) > (best_partial.exec_mask.bit_count(), -best_partial.h):
             best_partial = node
-        for child in ctx.expand(node, rng):
+        for child in ctx.expand(node):
             child.key = ckey = child.code << num_gates | child.exec_mask
             prev = visited.get(ckey)
             if prev is not None and prev <= child.g_cost:
@@ -700,17 +675,10 @@ def reverse_solution(sol: QlsSolution) -> QlsSolution:
     return QlsSolution(mappings, gate_block, tuple(swaps), None)
 
 
-def forward_backward(
-    circuit: Circuit,
-    graph: CouplingGraph,
-    m0: Mapping,
-    regions: MappingRegion | None = None,
-    rng: random.Random | None = None,
-) -> QlsSolution:
+def forward_backward(circuit: Circuit, graph: CouplingGraph, m0: Mapping) -> QlsSolution:
     """Alternate forward and reversed compilation passes, each starting from
     the previous final mapping, until the SWAP count stops improving; the best
     pass (re-oriented forward) wins."""
-    rng = rng or random.Random(0)
     rev = None  # the reversed circuit, built when a backward pass first runs
     mapping = m0
     best: QlsSolution | None = None
@@ -721,7 +689,7 @@ def forward_backward(
         if not forward and rev is None:
             rev = circuit.reversed()
         circ = circuit if forward else rev
-        sol = astar_insert(circ, graph, mapping, regions, rng)
+        sol = astar_insert(circ, graph, mapping)
         n = swap_count(sol)
         oriented = sol if forward else reverse_solution(sol)
         if best_n is None or n < best_n:
@@ -939,10 +907,12 @@ def srefine_run(
 
     Standalone mode (no regions) seeds candidates from the constraint-growing
     mapper (small circuits) or random placements; refinement mode seeds from
-    the region matching. Each candidate runs annealing plus forward/backward
-    routing; a start that puts every two-qubit gate on a coupler is routed
-    without annealing. Ties break toward the earlier candidate, so runs are
-    reproducible per seed.
+    the region matching, and annealing favours in-region moves. Routing is
+    unconstrained by regions and draws no random numbers, so each candidate's
+    routing is fixed by its start mapping. Each candidate runs annealing plus
+    forward/backward routing; a start that puts every two-qubit gate on a
+    coupler is routed without annealing. Ties break toward the earlier
+    candidate, so runs are reproducible per seed.
     """
     cfgs = cfgs or SrefineConfig()
     rng = rng or random.Random(0)
@@ -968,7 +938,7 @@ def srefine_run(
         # which annealing cannot beat.
         if not all(graph.has_edge(start[a], start[b]) for a, b in pairs):
             start = sa_initial_mapping(circuit, graph, start, regions, crng)
-        sol = forward_backward(circuit, graph, start, regions, crng)
+        sol = forward_backward(circuit, graph, start)
         n = swap_count(sol)
         if best_n is None or n < best_n:
             best, best_n = sol, n

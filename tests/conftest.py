@@ -168,6 +168,13 @@ def heuristic_h(state: AStarState, circuit: Circuit, graph: CouplingGraph) -> fl
     return h
 
 
+def sa_cost(circuit: Circuit, mapping: Mapping, graph: CouplingGraph) -> float:
+    """The annealing cost of a mapping, summed over every term: decayed gate
+    distances plus related-qubit distances for consecutive gates sharing a
+    qubit. The reference the annealer's incremental move scores add up to."""
+    return _terms_cost(_cost_terms(circuit), mapping.assignment, graph.dist)
+
+
 def reference_sa_initial_mapping(circuit, graph, start, regions=None, rng=None):
     """Reference for the annealer: the same schedule, RNG draws and
     acceptance rule, with each move scored by two sums over the set of terms

@@ -144,7 +144,7 @@ def _collect_solutions(count=20):
             dev = t5
         elif i % 3 == 1:
             c = Circuit.from_pairs(7, [tuple(rng.sample(range(7), 2)) for _ in range(10)])
-            sol = astar_insert(c, grid3, Mapping(tuple(range(7))), rng=random.Random(i))
+            sol = astar_insert(c, grid3, Mapping(tuple(range(7))))
             dev = grid3
         else:
             c = gen_qaoa(8, seed=i)

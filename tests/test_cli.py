@@ -151,11 +151,10 @@ def test_verify_bare_solution_with_flags(tmp_path):
     from mlqls import Circuit, Mapping, make_device, to_qasm
     from mlqls.srefine import astar_insert
     from mlqls.verify import solution_to_json
-    import random as _random
 
     c = Circuit.from_pairs(3, [(0, 1), (1, 2)])
     dev = make_device("path", 3)
-    sol = astar_insert(c, dev, Mapping((0, 1, 2)), rng=_random.Random(0))
+    sol = astar_insert(c, dev, Mapping((0, 1, 2)))
     sol_file = tmp_path / "bare.json"
     sol_file.write_text(json.dumps(solution_to_json(sol)))
     qasm = tmp_path / "c.qasm"

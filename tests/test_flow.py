@@ -1,16 +1,23 @@
 import math
+import random
 
 import pytest
+from conftest import random_connected_graph
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_golden import flow_qaoa20_grid5
 
 from mlqls import (
     Circuit,
+    CouplingGraph,
+    Gate,
     Level,
     LevelHierarchy,
     gen_qaoa,
     gen_queko,
     make_device,
 )
-from mlqls.exact import MAX_QUBITS, ExactConfig
+from mlqls.exact import MAX_QUBITS, ExactConfig, optimal_oracle
 from mlqls.flow import FlowConfig, compression_guard, run_mlqls
 from mlqls.srefine import SrefineConfig
 from mlqls.verify import solution_to_json, swap_count, verify
@@ -66,6 +73,12 @@ class TestRunMlqls:
             assert swap_count(r.final) <= swap_count(r.initial)
             assert verify(c, g5, r.final).ok
 
+    def test_vcycle_beats_stage_one(self):
+        # refinement routes freely from the region matching and improves on
+        # stage one's 10 SWAPs
+        r = flow_qaoa20_grid5(1)
+        assert swap_count(r.final) < swap_count(r.initial)
+
     def test_hierarchy_depth_bound(self):
         g6 = make_device("grid", 6)
         c = gen_qaoa(36, seed=1)
@@ -92,3 +105,36 @@ class TestRunMlqls:
         data = r.to_json()
         assert data["stats"][0]["stage"] == "srefine"
         assert "levels" in data
+
+
+@st.composite
+def oracle_sized_flows(draw):
+    """A random connected device of at most 6 nodes, a random circuit of at
+    most 10 gates on it (some single-qubit), and a flow seed. These fit the
+    exact solver, so the flow runs its degenerate V: refinement around the
+    exact solution, seeded from its regions."""
+    n = draw(st.integers(3, 6))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    graph = CouplingGraph.build(n, sorted(random_connected_graph(rng, n, draw(st.integers(0, 2)))))
+    nq = draw(st.integers(3, n))
+    gates = []
+    for i in range(draw(st.integers(4, 10))):
+        if rng.random() < 0.2:
+            gates.append(Gate(i, (rng.randrange(nq),), "h"))
+        else:
+            gates.append(Gate(i, tuple(rng.sample(range(nq), 2))))
+    return graph, Circuit(nq, tuple(gates), draw(st.booleans())), draw(st.integers(0, 2**32))
+
+
+# 132 of these 300 examples need SWAPs, so the flow refines them around the
+# exact solution.
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(oracle_sized_flows())
+def test_flow_is_valid_bounded_and_reproducible(instance):
+    graph, c, seed = instance
+    r = run_mlqls(c, graph, fast_cfg(seed))
+    assert verify(c, graph, r.final).ok
+    assert optimal_oracle(c, graph, swap_count(r.final)) is not None
+    assert swap_count(r.final) <= swap_count(r.initial)
+    again = run_mlqls(c, graph, fast_cfg(seed))
+    assert solution_to_json(again.final) == solution_to_json(r.final)

@@ -10,6 +10,7 @@ from conftest import (
     reference_embed,
     reference_initial_mapper,
     reference_sa_initial_mapping,
+    sa_cost,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +31,6 @@ from mlqls.srefine import (
     initial_mapper,
     initial_matching,
     reverse_solution,
-    sa_cost,
     sa_initial_mapping,
     srefine_run,
 )
@@ -194,7 +194,7 @@ class TestHeuristic:
     def test_internal_root_matches_public_formula(self, grid3):
         c = Circuit.from_pairs(5, [(0, 4), (4, 2), (1, 3), (0, 2)])
         m0 = Mapping((0, 8, 6, 2, 4))
-        ctx = _RouteContext(c, grid3, None)
+        ctx = _RouteContext(c, grid3)
         root = ctx.make_root(m0)
         unexec = frozenset(
             gid
@@ -207,7 +207,7 @@ class TestHeuristic:
     def test_incremental_sums_match_recompute(self, grid3):
         rng = random.Random(0)
         c = Circuit.from_pairs(6, [(0, 1), (1, 2), (3, 4), (0, 5), (2, 4), (1, 5)])
-        ctx = _RouteContext(c, grid3, None)
+        ctx = _RouteContext(c, grid3)
         node = ctx.make_root(Mapping((0, 2, 6, 8, 4, 1)))
         for _ in range(40):
             edges = ctx.candidate_edges(node)
@@ -228,12 +228,12 @@ class TestHeuristic:
 class TestAstarInsert:
     def test_all_executable_zero_swaps(self, path4):
         c = Circuit.from_pairs(4, [(0, 1), (1, 2), (2, 3)])
-        sol = astar_insert(c, path4, Mapping((0, 1, 2, 3)), rng=random.Random(0))
+        sol = astar_insert(c, path4, Mapping((0, 1, 2, 3)))
         assert swap_count(sol) == 0
         assert sol.num_blocks == 1
 
     def test_scenario_single_swap(self, tshape5, triangle_circuit, scenario_mapping):
-        sol = astar_insert(triangle_circuit, tshape5, scenario_mapping, rng=random.Random(0))
+        sol = astar_insert(triangle_circuit, tshape5, scenario_mapping)
         assert swap_count(sol) == 1
         assert sol.num_blocks == 2
         assert verify(triangle_circuit, tshape5, sol).ok
@@ -247,7 +247,7 @@ class TestAstarInsert:
             pairs = [tuple(rng.sample(range(4), 2)) for _ in range(rng.randint(2, 8))]
             c = Circuit.from_pairs(4, pairs)
             best = optimal_oracle(c, path4, 10)
-            sol = astar_insert(c, path4, Mapping((0, 1, 2, 3)), rng=random.Random(0))
+            sol = astar_insert(c, path4, Mapping((0, 1, 2, 3)))
             assert verify(c, path4, sol).ok
             worst = max(worst, swap_count(sol) - best)
         assert worst <= 2
@@ -257,7 +257,7 @@ class TestAstarInsert:
         for _ in range(5):
             pairs = [tuple(rng.sample(range(5), 2)) for _ in range(6)]
             c = Circuit.from_pairs(5, pairs)
-            sol = astar_insert(c, tshape5, Mapping((0, 1, 2, 3, 4)), rng=random.Random(1))
+            sol = astar_insert(c, tshape5, Mapping((0, 1, 2, 3, 4)))
             for sw in sol.swaps:
                 assert tshape5.has_edge(*sw.edge)
 
@@ -265,7 +265,7 @@ class TestAstarInsert:
         rng = random.Random(8)
         pairs = [tuple(rng.sample(range(6), 2)) for _ in range(10)]
         c = Circuit.from_pairs(6, pairs)
-        sol = astar_insert(c, grid3, Mapping((0, 1, 2, 3, 4, 5)), rng=random.Random(0))
+        sol = astar_insert(c, grid3, Mapping((0, 1, 2, 3, 4, 5)))
         report = verify(c, grid3, sol)
         assert report.swap_consistency.ok
 
@@ -273,32 +273,24 @@ class TestAstarInsert:
         from mlqls import gen_qaoa
 
         c = gen_qaoa(8, seed=1)
-        sol = astar_insert(c, grid3, Mapping(tuple(range(8))), rng=random.Random(0))
+        sol = astar_insert(c, grid3, Mapping(tuple(range(8))))
         assert verify(c, grid3, sol).ok
-
-    def test_region_gating_still_routes(self, grid3, tshape5):
-        # regions pinned to the wrong side of the device: escapes are rare but
-        # the search must still terminate with a valid solution
-        c = Circuit.from_pairs(3, [(0, 1), (1, 2), (0, 2)])
-        tight = MappingRegion((frozenset({0}), frozenset({2}), frozenset({4})))
-        sol = astar_insert(c, tshape5, Mapping((0, 2, 4)), tight, random.Random(0))
-        assert verify(c, tshape5, sol).ok
 
 
 class TestForwardBackward:
     def test_zero_swap_forward_terminates(self, path4):
         c = Circuit.from_pairs(4, [(0, 1), (1, 2)])
-        sol = forward_backward(c, path4, Mapping((0, 1, 2, 3)), rng=random.Random(0))
+        sol = forward_backward(c, path4, Mapping((0, 1, 2, 3)))
         assert swap_count(sol) == 0
 
     def test_never_worse_than_first_pass(self, grid3):
         rng = random.Random(21)
-        for seed in range(5):
+        for _ in range(5):
             pairs = [tuple(rng.sample(range(7), 2)) for _ in range(12)]
             c = Circuit.from_pairs(7, pairs)
             m0 = Mapping(tuple(rng.sample(range(9), 7)))
-            first = astar_insert(c, grid3, m0, rng=random.Random(seed))
-            fb = forward_backward(c, grid3, m0, rng=random.Random(seed))
+            first = astar_insert(c, grid3, m0)
+            fb = forward_backward(c, grid3, m0)
             assert swap_count(fb) <= swap_count(first)
             assert verify(c, grid3, fb).ok
 
@@ -306,7 +298,7 @@ class TestForwardBackward:
         # a 0-SWAP pass cannot be beaten, so no second pass runs
         routes = spy(monkeypatch, "astar_insert")
         c, wit = gen_queko(grid4, 5, 0.5, seed=4)
-        sol = forward_backward(c, grid4, wit, rng=random.Random(0))
+        sol = forward_backward(c, grid4, wit)
         assert swap_count(sol) == 0
         assert len(routes) == 1
 
@@ -321,7 +313,7 @@ class TestForwardBackward:
     def test_zero_swap_pass_builds_no_reversed_circuit(self, grid4, monkeypatch):
         reversals = self.count_reversals(monkeypatch)
         c, wit = gen_queko(grid4, 5, 0.5, seed=4)
-        assert swap_count(forward_backward(c, grid4, wit, rng=random.Random(0))) == 0
+        assert swap_count(forward_backward(c, grid4, wit)) == 0
         assert reversals == []
 
     def test_backward_passes_share_one_reversed_circuit(self, grid3, monkeypatch):
@@ -330,7 +322,7 @@ class TestForwardBackward:
         rng = random.Random(2)
         c = Circuit.from_pairs(7, [tuple(rng.sample(range(7), 2)) for _ in range(12)])
         m0 = Mapping(tuple(rng.sample(range(9), 7)))
-        forward_backward(c, grid3, m0, rng=random.Random(2))
+        forward_backward(c, grid3, m0)
         assert len(routes) == 4  # forward, backward, forward, backward
         assert len(reversals) == 1 and reversals[0] is c
 
@@ -339,7 +331,7 @@ class TestForwardBackward:
         pairs = [tuple(rng.sample(range(6), 2)) for _ in range(9)]
         c = Circuit.from_pairs(6, pairs)
         rev = c.reversed()
-        sol_rev = astar_insert(rev, grid3, Mapping((0, 1, 2, 3, 4, 5)), rng=random.Random(2))
+        sol_rev = astar_insert(rev, grid3, Mapping((0, 1, 2, 3, 4, 5)))
         sol = reverse_solution(sol_rev)
         assert verify(c, grid3, sol).ok
         assert swap_count(sol) == swap_count(sol_rev)
@@ -381,7 +373,7 @@ class TestInitialMapper:
                 if g.is_two_qubit
             )
             if ok:  # a fully-accepted mapping routes without SWAPs
-                sol = astar_insert(c, grid4, m, rng=random.Random(0))
+                sol = astar_insert(c, grid4, m)
                 assert swap_count(sol) == 0
             hits += ok
         assert hits >= 16  # >= 80% of 20 seeds
@@ -631,7 +623,7 @@ def test_gate_waits_for_every_predecessor(grid3):
     # gate 2 follows gate 0 on qubit 1 and gate 1 on qubit 2; gate 0 is
     # blocked, so gate 2 waits although gate 1 runs and its qubits are adjacent
     c = Circuit.from_pairs(4, [(0, 1), (2, 3), (1, 2)])
-    root = _RouteContext(c, grid3, None).make_root(Mapping((8, 0, 1, 2)))
+    root = _RouteContext(c, grid3).make_root(Mapping((8, 0, 1, 2)))
     assert root.exec_mask == 0b010 == reference_closure(c, grid3, root.pos, 0)
 
 
@@ -639,7 +631,7 @@ def test_gate_waits_for_every_predecessor(grid3):
 @given(routing_walks())
 def test_child_state_matches_rescan(instance):
     graph, circuit, start, seed = instance
-    ctx = _RouteContext(circuit, graph, None)
+    ctx = _RouteContext(circuit, graph)
     node = ctx.make_root(start)
     expected = reference_closure(circuit, graph, node.pos, 0)
     assert node.exec_mask == expected

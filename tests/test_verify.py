@@ -129,7 +129,7 @@ def _route_identity(circuit, graph):
     from mlqls.srefine import astar_insert
 
     m0 = Mapping(tuple(range(circuit.num_qubits)))
-    return astar_insert(circuit, graph, m0, rng=random.Random(0))
+    return astar_insert(circuit, graph, m0)
 
 
 class TestSolutionBuilder:

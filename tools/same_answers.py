@@ -9,8 +9,9 @@ Each workload's instance set is built with this checkout's
 the ``src/mlqls`` of each tree, one subprocess per tree, both at once. For
 every workload the tool prints one digest per tree over all instances and
 seeds (the sha256 of each solution's JSON, plus the proven/timed-out flags of
-exact solves), and the first instance whose answer differs. It exits 1 if any
-answer differs, 2 on a usage error.
+exact solves) with that tree's total SWAPs, and the first instance whose
+answer differs. A change that means to alter answers reads its SWAP delta
+from the same run. It exits 1 if any answer differs, 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def _answer_digest(lib, outcome) -> str:
 
 def emit(tree: Path, workloads_arg: list[str], seeds: list[int]) -> int:
     """Compile every instance against ``tree/src`` and print one JSON line
-    per instance: workload, seed, label and answer digest."""
+    per instance: workload, seed, label, answer digest and SWAP count."""
     src = (tree / "src").resolve()
     sys.path.insert(0, str(src))
     importlib.import_module("mlqls")
@@ -57,7 +58,8 @@ def emit(tree: Path, workloads_arg: list[str], seeds: list[int]) -> int:
             for inst in workloads.build(lib, workload, seed):
                 outcome = workloads.compile_instance(lib, inst)
                 row = dict(workload=workload, seed=seed, label=inst.label,
-                           sha256=_answer_digest(lib, outcome))
+                           sha256=_answer_digest(lib, outcome),
+                           swaps=lib.verify.swap_count(outcome.solution))
                 print(json.dumps(row), flush=True)
     return 0
 
@@ -88,8 +90,9 @@ def compare(other: Path, workloads_arg: list[str], seeds: list[int]) -> int:
         da = hashlib.sha256("".join(r["sha256"] for r in a).encode()).hexdigest()
         db = hashlib.sha256("".join(r["sha256"] for r in b).encode()).hexdigest()
         same = da == db and len(a) == len(b)
-        print(f"{workload:14s} {len(a):4d} instances  this {da[:16]}  other {db[:16]}  "
-              f"{'same' if same else 'DIFFERENT'}")
+        sa, sb = sum(r["swaps"] for r in a), sum(r["swaps"] for r in b)
+        print(f"{workload:14s} {len(a):4d} instances  this {da[:16]} {sa:5d} swaps  "
+              f"other {db[:16]} {sb:5d} swaps  {'same' if same else 'DIFFERENT'}")
         if not same:
             differ = True
             first = next(x or y for x, y in itertools.zip_longest(a, b) if x != y)
