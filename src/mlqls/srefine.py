@@ -6,7 +6,9 @@ The annealing cost charges each two-qubit gate its mapped distance, decayed by
 circuit position, plus a related-qubit term pulling consecutively-interacting
 qubits together. Routing searches over SWAP sequences with a trimmed best-first
 frontier, scoring states by a four-term normalized lookahead heuristic; forward
-and backward passes then iterate while the SWAP count keeps improving.
+and backward passes then iterate while the SWAP count keeps improving. Each
+candidate SWAP is scored in one pass over the two moved qubits' gates, and the
+SWAP filter (some ready gate gets strictly closer) is part of that pass.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import itertools
 import math
 import random
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .cluster import MappingRegion
@@ -330,61 +332,79 @@ class _RouteContext:
         node.g_cost = 0
         node.parent = None
         node.edge = None
-        node.done_here = []
         seeds = [gid for gid in range(self.num_gates) if not self.pred_masks[gid]]
-        self._run_closure(node, seeds)
-        self._recompute_sets(node)
+        self._close(node, set(), set(), 0, seeds)
         node.h = self._node_h(node)
         return node
 
-    def _run_closure(self, node: _Node, candidates: list[int]) -> list[int]:
-        """Execute every executable gate reachable from the candidate seeds; a
-        successor is queued once ``exec_mask`` covers its predecessors.
-        Returns the two-qubit gates it reached but could not run, because
-        their qubits are not adjacent."""
-        pred_masks = self.pred_masks
-        blocked = []
-        queue = deque(candidates)
-        while queue:
-            gid = queue.popleft()
-            if node.exec_mask >> gid & 1 or pred_masks[gid] & ~node.exec_mask:
-                continue
-            if self.is2[gid]:
-                qa, qb = self.q2[gid]
-                if self.dist[node.pos[qa]][node.pos[qb]] != 1:
-                    blocked.append(gid)
-                    continue
-            node.exec_mask |= 1 << gid
-            node.done_here.append(gid)
-            for succ in self.dag.succs[gid]:
-                if not pred_masks[succ] & ~node.exec_mask:
-                    queue.append(succ)
-        return blocked
+    def _close(
+        self, node: _Node, ready: set[int], onehop: set[int], rsum: int, seeds: Iterable[int]
+    ) -> None:
+        """Run every gate that can run, starting from ``seeds``, and derive
+        ``node``'s ready and one-hop sets and their sums. ``ready`` and
+        ``onehop`` are the sets before the closure, and ``rsum`` is the
+        distance sum of those ready gates at ``node``'s positions.
 
-    def _recompute_sets(self, node: _Node) -> None:
-        """Build ``ready``, ``onehop`` and their three distance sums from
-        scratch by scanning every gate. Only ``make_root`` calls it; children
-        derive theirs from the parent in ``make_child``, and the tests use
-        this scan as the oracle for that derivation."""
-        open_mask = ~node.exec_mask
-        ready = set()
-        for gid in range(self.num_gates):
-            if self.is2[gid] and open_mask >> gid & 1 and not self.pred_masks[gid] & open_mask:
-                ready.add(gid)
+        A gate runs once ``exec_mask`` covers its predecessors and, for a
+        two-qubit gate, its qubits are adjacent; its successors are queued
+        then. A ready gate that runs leaves ``ready`` and costs 1 in
+        ``rsum``; a two-qubit gate reached but not adjacent becomes ready.
+        ``make_root`` and every child that runs gates share this routine."""
+        pred_masks, succs, is2, q2 = self.pred_masks, self.dag.succs, self.is2, self.q2
+        dist, pos = self.dist, node.pos
+        children2, parents2 = self.dag.children2, self.dag.parents2
+        exec_mask = node.exec_mask
+        node.done_here = done = []
+        ready = set(ready)
+        left = []  # ready gates that ran
+        blocked = []  # gates that became ready
+        reshaped = False  # whether one of them has two-qubit children
+        queue = list(seeds)
+        for gid in queue:  # a FIFO queue: the loop also visits what it appends
+            if exec_mask >> gid & 1 or pred_masks[gid] & ~exec_mask:
+                continue
+            if is2[gid]:
+                x, y = q2[gid]
+                d = dist[pos[x]][pos[y]]
+                if d != 1:
+                    blocked.append(gid)
+                    rsum += d
+                    reshaped = reshaped or bool(children2[gid])
+                    continue
+                if gid in ready:
+                    ready.discard(gid)
+                    left.append(gid)
+                    rsum -= 1
+                    reshaped = reshaped or bool(children2[gid])
+            exec_mask |= 1 << gid
+            done.append(gid)
+            for succ in succs[gid]:
+                if not pred_masks[succ] & ~exec_mask:
+                    queue.append(succ)
+        node.exec_mask = exec_mask
+        ready.update(blocked)
         node.ready = ready
-        node.rsum = sum(
-            self.dist[node.pos[self.q2[g][0]]][node.pos[self.q2[g][1]]] for g in ready
-        )
-        onehop = {cid for gid in ready for cid in self.dag.children2[gid]}
+        node.rsum = rsum
+        # A one-hop gate leaves when none of its parents is still ready, which
+        # can only happen to a child of a gate that left; a blocked gate's
+        # children join.
+        if reshaped:
+            onehop = onehop.copy()
+            for gid in left:
+                for c in children2[gid]:
+                    if not any(p in ready for p in parents2[c]):
+                        onehop.discard(c)
+            for gid in blocked:
+                onehop.update(children2[gid])
         node.onehop = onehop
-        node.osum = sum(
-            self.dist[node.pos[self.q2[g][0]]][node.pos[self.q2[g][1]]] for g in onehop
-        )
-        node.psum = sum(
-            self.dist[node.pos[a]][node.pos[b]]
-            for g in onehop
-            for a, b in self.related_pairs[g]
-        )
+        osum = psum = 0
+        for gid in onehop:
+            x, y = q2[gid]
+            osum += dist[pos[x]][pos[y]]
+            for x, y in self.related_pairs[gid]:
+                psum += dist[pos[x]][pos[y]]
+        node.osum = osum
+        node.psum = psum
 
     def _node_h(self, node: _Node) -> float:
         """Four-term lookahead estimate: normalized ready-gate distance,
@@ -398,16 +418,64 @@ class _RouteContext:
         h += _GAMMA * (self.mask2 & ~node.exec_mask).bit_count()
         return h
 
-    def make_child(self, node: _Node, a: int, b: int) -> _Node:
-        """The state after swapping positions ``a`` and ``b``. Only the gates
-        on the two moved qubits change distance, so the child's sets and sums
-        follow from the parent's and those gates."""
+    def _scores(
+        self, node: _Node, edges: Iterable[tuple[int, int]]
+    ) -> Iterator[tuple[tuple[int, int], bool, int, int, tuple[int, ...]]]:
+        """Score each swap of positions ``a < b`` in ``edges``, in order, in
+        one pass over the two moved qubits' gates, against the parent's
+        positions. Yields the edge, the SWAP filter (some ready gate gets
+        strictly closer), the changes of the ready and one-hop distance sums,
+        and the ready gates the swap makes adjacent, in the order the closure
+        runs them. ``expand`` and ``make_child`` both score through it.
+
+        A gate on both moved qubits keeps its distance, so it adds nothing
+        and never passes the filter. It is never ready either: its qubits sit
+        on a coupler, so the parent's closure would have run it."""
+        dist, pos, occ = self.dist, node.pos, node.occ
+        ready, onehop, partners = node.ready, node.onehop, self.partners
+        for edge in edges:
+            a, b = edge
+            improves = False
+            drsum = dosum = 0
+            executable = ()
+            qa, qb = occ[a], occ[b]
+            for q, old_p, new_p, r in ((qa, a, b, qb), (qb, b, a, qa)):
+                if q == -1:
+                    continue
+                for gid, other in partners[q]:  # ready and onehop are disjoint
+                    if gid in ready:
+                        po = pos[other]
+                        d, d0 = dist[new_p][po], dist[old_p][po]
+                        drsum += d - d0
+                        if d < d0:
+                            improves = True
+                        if d == 1:
+                            executable += (gid,)
+                    elif gid in onehop and other != r:
+                        po = pos[other]
+                        dosum += dist[new_p][po] - dist[old_p][po]
+            yield edge, improves, drsum, dosum, executable
+
+    def _child(
+        self,
+        node: _Node,
+        edge: tuple[int, int],
+        drsum: int,
+        dosum: int,
+        executable: tuple[int, ...],
+    ) -> _Node:
+        """The state after swapping the positions of ``edge``, from the
+        parent and the swap's score, for ``expand`` and ``make_child`` alike.
+        Only the gates on the two moved qubits change distance, so without
+        executable gates the child shares the parent's sets and shifts its
+        sums; otherwise ``_close`` runs from those gates."""
         child = _Node()
+        a, b = edge
         pos = node.pos
         child.pos = cpos = pos.copy()
-        child.occ = node.occ.copy()
-        qa, qb = node.occ[a], node.occ[b]
-        child.occ[a], child.occ[b] = qb, qa
+        child.occ = occ = node.occ.copy()
+        qa, qb = occ[a], occ[b]
+        occ[a], occ[b] = qb, qa
         code = node.code
         if qa != -1:
             cpos[qa] = b
@@ -417,92 +485,43 @@ class _RouteContext:
             code += (a - b) << self.pos_shift[qb]
         child.code = code
         child.parent = node
-        child.edge = (min(a, b), max(a, b))
+        child.edge = edge
         child.g_cost = node.g_cost + 1
-        child.done_here = []
-        if qa == -1:
-            moved = () if qb == -1 else (qb,)
-        else:
-            moved = (qa,) if qb == -1 else (qa, qb)
-        dist = self.dist
-        ready, onehop = node.ready, node.onehop
-        executable = []
-        drsum = dosum = 0
-        # A gate on both moved qubits is met twice, but the swap keeps its
-        # distance: it adds 0, and it is not ready, as the parent would have
-        # run it. The same holds for the related pairs below.
-        for q in moved:
-            for gid, other in self.partners[q]:  # ready and onehop are disjoint
-                d = dist[cpos[q]][cpos[other]]
-                if gid in ready:
-                    drsum += d - dist[pos[q]][pos[other]]
-                    if d == 1:
-                        executable.append(gid)
-                elif gid in onehop:
-                    dosum += d - dist[pos[q]][pos[other]]
         child.exec_mask = node.exec_mask
         if executable:
-            blocked = self._run_closure(child, executable)
-            self._advance_sets(child, node, executable, blocked, drsum)
+            self._close(child, node.ready, node.onehop, node.rsum + drsum, executable)
         else:
-            child.ready = ready
-            child.onehop = onehop
+            child.done_here = []
+            child.ready = node.ready
+            child.onehop = onehop = node.onehop
             child.rsum = node.rsum + drsum
             child.osum = node.osum + dosum
-            dpsum = 0
+            psum = node.psum
             if onehop:
-                for q in moved:
+                dist = self.dist
+                for q in (qa, qb):
+                    if q == -1:
+                        continue
                     for gid, x, y in self.related_by_qubit[q]:
                         if gid in onehop:
-                            dpsum += dist[cpos[x]][cpos[y]] - dist[pos[x]][pos[y]]
-            child.psum = node.psum + dpsum
+                            psum += dist[cpos[x]][cpos[y]] - dist[pos[x]][pos[y]]
+            child.psum = psum
         child.h = self._node_h(child)
         return child
 
-    def _advance_sets(
-        self, child: _Node, node: _Node, executable: list[int], blocked: list[int], drsum: int
-    ) -> None:
-        """Sets and sums of a child whose closure ran: ``executable`` (ready
-        in the parent, adjacent in the child) and the gates they unblocked
-        have run, and ``blocked`` holds the unblocked gates left waiting."""
-        dist, q2, pos = self.dist, self.q2, child.pos
-        ready = node.ready.difference(executable)
-        ready.update(blocked)
-        child.ready = ready
-        # The parent's ready gates cost rsum + drsum at the child's positions;
-        # the executed ones cost 1 each.
-        rsum = node.rsum + drsum - len(executable)
-        for gid in blocked:
-            x, y = q2[gid]
-            rsum += dist[pos[x]][pos[y]]
-        child.rsum = rsum
-        # A one-hop gate leaves when none of its parents is still ready, which
-        # can only happen to a child of an executed gate; a blocked gate's
-        # children join.
-        children2, parents2 = self.dag.children2, self.dag.parents2
-        gone = [c for gid in executable for c in children2[gid]]
-        onehop = node.onehop
-        if gone or any(children2[gid] for gid in blocked):
-            onehop = onehop.copy()
-            for c in gone:
-                if not any(p in ready for p in parents2[c]):
-                    onehop.discard(c)
-            for gid in blocked:
-                onehop.update(children2[gid])
-        child.onehop = onehop
-        osum = psum = 0
-        for gid in onehop:
-            x, y = q2[gid]
-            osum += dist[pos[x]][pos[y]]
-            for x, y in self.related_pairs[gid]:
-                psum += dist[pos[x]][pos[y]]
-        child.osum = osum
-        child.psum = psum
+    def make_child(self, node: _Node, a: int, b: int) -> _Node:
+        """The state after swapping positions ``a < b``, whether or not the
+        swap passes the SWAP filter: the forced-SWAP paths use it. The swap
+        is scored in the same one pass over the moved qubits' gates, and the
+        child built by the same code, as in ``expand``."""
+        ((edge, _, drsum, dosum, executable),) = self._scores(node, ((a, b),))
+        return self._child(node, edge, drsum, dosum, executable)
 
     # -- expansion ----------------------------------------------------------
 
     def candidate_edges(self, node: _Node) -> list[tuple[int, int]]:
-        """Edges touching the target qubits of (the most urgent) ready gates."""
+        """Edges ``(low, high)`` touching the target qubits of (the most
+        urgent) ready gates, in ascending order."""
         ready = node.ready
         if len(ready) > _MAX_CANDIDATE_GATES:
             dist = self.dist
@@ -520,23 +539,17 @@ class _RouteContext:
                 edges.update(self.edges_at[node.pos[q]])
         return sorted(edges)
 
-    def _improves(self, node: _Node, a: int, b: int) -> bool:
-        """True when the swap moves some ready-gate target strictly closer to
-        its partner."""
-        dist, ready, pos = self.dist, node.ready, node.pos
-        for q, old_p, new_p in ((node.occ[a], a, b), (node.occ[b], b, a)):
-            if q == -1:
-                continue
-            for gid, other in self.partners[q]:
-                if gid in ready and dist[new_p][pos[other]] < dist[old_p][pos[other]]:
-                    return True
-        return False
-
     def expand(self, node: _Node) -> list[_Node]:
+        """The children of ``node`` over its candidate edges, in edge order.
+        Each candidate SWAP is scored in one pass over the moved qubits'
+        gates, and that pass also applies the SWAP filter: a child is built
+        only when the swap moves some ready gate strictly closer."""
         return [
-            self.make_child(node, a, b)
-            for a, b in self.candidate_edges(node)
-            if self._improves(node, a, b)
+            self._child(node, edge, drsum, dosum, executable)
+            for edge, improves, drsum, dosum, executable in self._scores(
+                node, self.candidate_edges(node)
+            )
+            if improves
         ]
 
 
@@ -616,8 +629,7 @@ def _episode(ctx: _RouteContext, root: _Node):
                 (child.g_cost + child.h, -child.exec_mask.bit_count(), next(seq), child),
             )
         if len(open_heap) > _STATE_THRESHOLD:
-            open_heap = heapq.nsmallest(_TRIM_KEEP, open_heap)
-            heapq.heapify(open_heap)
+            open_heap = heapq.nsmallest(_TRIM_KEEP, open_heap)  # sorted, so a heap
     return None, best_partial
 
 
@@ -645,7 +657,7 @@ def _force_nearest_gate(ctx: _RouteContext, node: _Node, builder: SolutionBuilde
     while dist[node.pos[qa]][node.pos[qb]] > 1:
         pa, pb = node.pos[qa], node.pos[qb]
         step = min(ctx.neighbors[pa], key=lambda nb: (dist[nb][pb], nb))
-        node = ctx.make_child(node, pa, step)
+        node = ctx.make_child(node, *((pa, step) if pa < step else (step, pa)))
         builder.add_swap(node.edge)
         for done in node.done_here:
             builder.execute(done)

@@ -18,6 +18,7 @@ from mlqls.srefine import (
     _SA_PROBE_MOVES,
     _BudgetExhausted,
     _cost_terms,
+    _Node,
     _extend_partial,
     _terms_cost,
 )
@@ -350,3 +351,173 @@ def reference_initial_mapper(circuit, graph, budget_seconds, rng):
     if len(accepted_pairs) == total:
         best_map = _extend_partial(assign, circuit.num_qubits, graph)
     return best_map, len(accepted_pairs), total, budget[0]
+
+
+def reference_sets(ctx, node) -> None:
+    """Build ``node``'s ``ready``, ``onehop`` and their three distance sums
+    from scratch by scanning every gate, as ``make_root`` first did: the
+    oracle for the router's derived sets."""
+    open_mask = ~node.exec_mask
+    ready = set()
+    for gid in range(ctx.num_gates):
+        if ctx.is2[gid] and open_mask >> gid & 1 and not ctx.pred_masks[gid] & open_mask:
+            ready.add(gid)
+    node.ready = ready
+    node.rsum = sum(ctx.dist[node.pos[ctx.q2[g][0]]][node.pos[ctx.q2[g][1]]] for g in ready)
+    onehop = {cid for gid in ready for cid in ctx.dag.children2[gid]}
+    node.onehop = onehop
+    node.osum = sum(ctx.dist[node.pos[ctx.q2[g][0]]][node.pos[ctx.q2[g][1]]] for g in onehop)
+    node.psum = sum(
+        ctx.dist[node.pos[a]][node.pos[b]] for g in onehop for a, b in ctx.related_pairs[g]
+    )
+
+
+def reference_expand(ctx, node) -> list:
+    """The router's expansion as first written: for each candidate edge,
+    ``_reference_improves`` walks the moved qubits' gates for the SWAP
+    filter, then ``reference_child`` walks them again for the distance
+    deltas and runs the closure and the set update as separate calls."""
+    return [
+        reference_child(ctx, node, a, b)
+        for a, b in ctx.candidate_edges(node)
+        if _reference_improves(ctx, node, a, b)
+    ]
+
+
+def _reference_improves(ctx, node, a: int, b: int) -> bool:
+    """True when the swap moves some ready-gate target strictly closer to
+    its partner."""
+    dist, ready, pos = ctx.dist, node.ready, node.pos
+    for q, old_p, new_p in ((node.occ[a], a, b), (node.occ[b], b, a)):
+        if q == -1:
+            continue
+        for gid, other in ctx.partners[q]:
+            if gid in ready and dist[new_p][pos[other]] < dist[old_p][pos[other]]:
+                return True
+    return False
+
+
+def reference_child(ctx, node, a: int, b: int):
+    """The state after swapping positions ``a`` and ``b``. Only the gates
+    on the two moved qubits change distance, so the child's sets and sums
+    follow from the parent's and those gates."""
+    child = _Node()
+    pos = node.pos
+    child.pos = cpos = pos.copy()
+    child.occ = node.occ.copy()
+    qa, qb = node.occ[a], node.occ[b]
+    child.occ[a], child.occ[b] = qb, qa
+    code = node.code
+    if qa != -1:
+        cpos[qa] = b
+        code += (b - a) << ctx.pos_shift[qa]
+    if qb != -1:
+        cpos[qb] = a
+        code += (a - b) << ctx.pos_shift[qb]
+    child.code = code
+    child.parent = node
+    child.edge = (min(a, b), max(a, b))
+    child.g_cost = node.g_cost + 1
+    child.done_here = []
+    if qa == -1:
+        moved = () if qb == -1 else (qb,)
+    else:
+        moved = (qa,) if qb == -1 else (qa, qb)
+    dist = ctx.dist
+    ready, onehop = node.ready, node.onehop
+    executable = []
+    drsum = dosum = 0
+    # A gate on both moved qubits is met twice, but the swap keeps its
+    # distance: it adds 0, and it is not ready, as the parent would have
+    # run it. The same holds for the related pairs below.
+    for q in moved:
+        for gid, other in ctx.partners[q]:  # ready and onehop are disjoint
+            d = dist[cpos[q]][cpos[other]]
+            if gid in ready:
+                drsum += d - dist[pos[q]][pos[other]]
+                if d == 1:
+                    executable.append(gid)
+            elif gid in onehop:
+                dosum += d - dist[pos[q]][pos[other]]
+    child.exec_mask = node.exec_mask
+    if executable:
+        blocked = _reference_run_closure(ctx, child, executable)
+        _reference_advance_sets(ctx, child, node, executable, blocked, drsum)
+    else:
+        child.ready = ready
+        child.onehop = onehop
+        child.rsum = node.rsum + drsum
+        child.osum = node.osum + dosum
+        dpsum = 0
+        if onehop:
+            for q in moved:
+                for gid, x, y in ctx.related_by_qubit[q]:
+                    if gid in onehop:
+                        dpsum += dist[cpos[x]][cpos[y]] - dist[pos[x]][pos[y]]
+        child.psum = node.psum + dpsum
+    child.h = ctx._node_h(child)
+    return child
+
+
+def _reference_run_closure(ctx, node, candidates: list[int]) -> list[int]:
+    """Execute every executable gate reachable from the candidate seeds; a
+    successor is queued once ``exec_mask`` covers its predecessors.
+    Returns the two-qubit gates it reached but could not run, because
+    their qubits are not adjacent."""
+    pred_masks = ctx.pred_masks
+    blocked = []
+    queue = deque(candidates)
+    while queue:
+        gid = queue.popleft()
+        if node.exec_mask >> gid & 1 or pred_masks[gid] & ~node.exec_mask:
+            continue
+        if ctx.is2[gid]:
+            qa, qb = ctx.q2[gid]
+            if ctx.dist[node.pos[qa]][node.pos[qb]] != 1:
+                blocked.append(gid)
+                continue
+        node.exec_mask |= 1 << gid
+        node.done_here.append(gid)
+        for succ in ctx.dag.succs[gid]:
+            if not pred_masks[succ] & ~node.exec_mask:
+                queue.append(succ)
+    return blocked
+
+
+def _reference_advance_sets(ctx, child, node, executable, blocked, drsum) -> None:
+    """Sets and sums of a child whose closure ran: ``executable`` (ready
+    in the parent, adjacent in the child) and the gates they unblocked
+    have run, and ``blocked`` holds the unblocked gates left waiting."""
+    dist, q2, pos = ctx.dist, ctx.q2, child.pos
+    ready = node.ready.difference(executable)
+    ready.update(blocked)
+    child.ready = ready
+    # The parent's ready gates cost rsum + drsum at the child's positions;
+    # the executed ones cost 1 each.
+    rsum = node.rsum + drsum - len(executable)
+    for gid in blocked:
+        x, y = q2[gid]
+        rsum += dist[pos[x]][pos[y]]
+    child.rsum = rsum
+    # A one-hop gate leaves when none of its parents is still ready, which
+    # can only happen to a child of an executed gate; a blocked gate's
+    # children join.
+    children2, parents2 = ctx.dag.children2, ctx.dag.parents2
+    gone = [c for gid in executable for c in children2[gid]]
+    onehop = node.onehop
+    if gone or any(children2[gid] for gid in blocked):
+        onehop = onehop.copy()
+        for c in gone:
+            if not any(p in ready for p in parents2[c]):
+                onehop.discard(c)
+        for gid in blocked:
+            onehop.update(children2[gid])
+    child.onehop = onehop
+    osum = psum = 0
+    for gid in onehop:
+        x, y = q2[gid]
+        osum += dist[pos[x]][pos[y]]
+        for x, y in ctx.related_pairs[gid]:
+            psum += dist[pos[x]][pos[y]]
+    child.osum = osum
+    child.psum = psum

@@ -6,10 +6,13 @@ from conftest import (
     AStarState,
     heuristic_h,
     random_connected_graph,
+    reference_child,
     reference_closure,
     reference_embed,
+    reference_expand,
     reference_initial_mapper,
     reference_sa_initial_mapping,
+    reference_sets,
     sa_cost,
 )
 from hypothesis import given, settings
@@ -607,14 +610,12 @@ def routing_walks(draw):
 
 
 def rescanned(ctx, node):
-    """A copy of ``node`` whose closure is rerun from every gate and whose
-    sets, sums and estimate are rebuilt by scanning every gate."""
+    """A copy of ``node`` whose closure is rerun by ``reference_closure`` and
+    whose sets, sums and estimate are rebuilt by scanning every gate."""
     fresh = _Node()
     fresh.pos = node.pos
-    fresh.exec_mask = node.exec_mask
-    fresh.done_here = []
-    ctx._run_closure(fresh, list(range(ctx.num_gates)))
-    ctx._recompute_sets(fresh)
+    fresh.exec_mask = reference_closure(ctx.circuit, ctx.graph, node.pos, node.exec_mask)
+    reference_sets(ctx, fresh)
     fresh.h = ctx._node_h(fresh)
     return fresh
 
@@ -651,6 +652,100 @@ def test_child_state_matches_rescan(instance):
         assert node.h == fresh.h
         width = (graph.num_physical - 1).bit_length()
         assert node.code == sum(p << (q * width) for q, p in enumerate(node.pos))
+
+
+NODE_FIELDS = (
+    "edge", "pos", "occ", "code", "exec_mask", "done_here", "ready", "onehop",
+    "rsum", "osum", "psum", "h",
+)
+
+
+def node_fields(node) -> tuple:
+    return tuple(getattr(node, name) for name in NODE_FIELDS)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(routing_walks())
+def test_expand_matches_reference(instance):
+    # At every step of a walk, expansion gives the children of the two-pass
+    # reference, in the same order, and a forced child equals its reference.
+    graph, circuit, start, seed = instance
+    ctx = _RouteContext(circuit, graph)
+    node = ctx.make_root(start)
+    rng = random.Random(seed)
+    for _ in range(40):
+        edges = ctx.candidate_edges(node)
+        if not edges:
+            break
+        children = ctx.expand(node)
+        expected = reference_expand(ctx, node)
+        assert [node_fields(c) for c in children] == [node_fields(c) for c in expected]
+        if children and rng.random() < 0.75:
+            node = children[rng.randrange(len(children))]
+        else:
+            a, b = edges[rng.randrange(len(edges))]
+            forced = ctx.make_child(node, a, b)
+            assert node_fields(forced) == node_fields(reference_child(ctx, node, a, b))
+            node = forced
+
+
+def random_gates(rng, nq, count):
+    """``count`` random gates on ``nq`` qubits, one in five single-qubit."""
+    return tuple(
+        Gate(i, (rng.randrange(nq),), "h")
+        if rng.random() < 0.2
+        else Gate(i, tuple(rng.sample(range(nq), 2)))
+        for i in range(count)
+    )
+
+
+@pytest.mark.parametrize("commutable", [False, True])
+def test_expand_matches_reference_during_search(monkeypatch, grid4, commutable):
+    # Searches on grid:4 with free positions: every expansion of every
+    # episode gives the reference's children.
+    expanded = []
+    real_expand = _RouteContext.expand
+
+    def checked(ctx, node):
+        children = real_expand(ctx, node)
+        expected = reference_expand(ctx, node)
+        assert [node_fields(c) for c in children] == [node_fields(c) for c in expected]
+        expanded.append(len(children))
+        return children
+
+    monkeypatch.setattr(_RouteContext, "expand", checked)
+    rng = random.Random(3)
+    for _ in range(3):
+        c = Circuit(12, random_gates(rng, 12, 30), commutable)
+        sol = astar_insert(c, grid4, Mapping(tuple(rng.sample(range(16), 12))))
+        assert verify(c, grid4, sol).ok
+    assert len(expanded) > 100
+
+
+@pytest.mark.parametrize("stranded", [False, True])
+def test_swap_edges_are_ordered(monkeypatch, stranded):
+    # Every SWAP the router commits reaches the builder already as
+    # (low, high); the builder would order it anyway, so the spy checks what
+    # it is given. Searched SWAPs come from expansion. A stranded search
+    # forces a SWAP at every step; on this instance the forced SWAPs stall
+    # long enough to reach _force_nearest_gate, whose walk steps from
+    # position 4 down to 3.
+    if stranded:
+        monkeypatch.setattr(srefine, "_episode", lambda ctx, root: (None, root))
+    walks = spy(monkeypatch, "_force_nearest_gate")
+    added = []
+    real_add = srefine.SolutionBuilder.add_swap
+    monkeypatch.setattr(
+        srefine.SolutionBuilder,
+        "add_swap",
+        lambda self, edge: added.append(edge) or real_add(self, edge),
+    )
+    graph = make_device("path", 5)
+    c = Circuit.from_pairs(5, [(2, 4), (3, 0), (3, 0), (0, 1), (2, 0)])
+    sol = astar_insert(c, graph, Mapping((2, 0, 3, 4, 1)))
+    assert bool(walks) == stranded
+    assert sol.swaps and all(a < b for a, b in added)
+    assert [sw.edge for sw in sol.swaps] == added[: len(sol.swaps)]
 
 
 @st.composite
