@@ -61,7 +61,6 @@ from .srefine import (
 )
 from .verify import (
     QlsSolution,
-    SolutionBuilder,
     SwapOp,
     VerifyReport,
     asap_depth,

@@ -17,6 +17,7 @@ from .flow import FlowConfig, run_mlqls
 from .model import (
     Circuit,
     CouplingGraph,
+    _json_field,
     circuit_from_json,
     circuit_to_json,
     device_from_json,
@@ -189,21 +190,34 @@ def _cmd_verify(args: argparse.Namespace, device: CouplingGraph | None) -> int:
     if isinstance(data, dict) and "solution" in data:  # bundle written by cmd_compile
         circuit = circuit_from_json(data.get("circuit"))
         device = device_from_json(data.get("device"))
-        sol = solution_from_json(data["solution"])
+        data = data["solution"]
     else:
         if args.circuit is None or device is None:
             raise ValueError("bare solution file needs --circuit and --device")
         circuit = build_circuit(device, args.circuit, args.gen, args.seed)
-        sol = solution_from_json(data)
+    sol = solution_from_json(data)
+    recorded_swaps = _json_field(data, "swap_count", int, "solution", default=None)
     report = verify(circuit, device, sol)
-    if report.ok:
-        depth = asap_depth(circuit, sol)
-        print(f"OK swaps={swap_count(sol)} depth={depth}")
-        if report.overlapping_gaps:
-            print(f"note: gaps with overlapping swaps: {list(report.overlapping_gaps)}")
-        return 0
-    print(f"FAIL {report.first_failure()}")
-    return 1
+    if not report.ok:
+        print(f"FAIL {report.first_failure()}")
+        return 1
+    swaps, depth = swap_count(sol), asap_depth(circuit, sol)
+    # A recorded figure may be absent, but one that is given must be right.
+    mismatches = [
+        f"FAIL {name}: recorded {recorded}, {measure} {actual}"
+        for name, recorded, measure, actual in (
+            ("swap_count", recorded_swaps, "SWAPs listed", swaps),
+            ("depth", sol.depth, "ASAP depth", depth),
+        )
+        if recorded is not None and recorded != actual
+    ]
+    if mismatches:
+        print("\n".join(mismatches))
+        return 1
+    print(f"OK swaps={swaps} depth={depth}")
+    if report.overlapping_gaps:
+        print(f"note: gaps with overlapping swaps: {list(report.overlapping_gaps)}")
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -443,9 +443,12 @@ def optimal_oracle(circuit: Circuit, graph: CouplingGraph, max_swaps: int) -> in
     if circuit.num_qubits > graph.num_physical:
         raise ValueError("more program qubits than physical qubits")
     dag = build_dag(circuit)
-    base_indeg = tuple(dag.indegrees())
     dist = graph.dist
     gates = circuit.gates
+    base_indeg = [0] * len(gates)  # counted from succs, not from pred_masks
+    for succs in dag.succs:
+        for succ in succs:
+            base_indeg[succ] += 1
     all_mask = (1 << len(gates)) - 1
 
     def closed(assignment: tuple[int, ...], mask: int) -> int:

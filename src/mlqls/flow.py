@@ -24,7 +24,7 @@ from .cluster import (
 from .exact import ExactConfig, fits_exact, solve_exact
 from .model import Circuit, CouplingGraph, Mapping
 from .srefine import SrefineConfig, srefine_run
-from .verify import QlsSolution, asap_depth, swap_count, verify
+from .verify import QlsSolution, swap_count, verify
 
 
 _MIN_SHRINK = 0.10
@@ -101,14 +101,12 @@ def run_mlqls(circuit: Circuit, graph: CouplingGraph, cfg: FlowConfig | None = N
     stats.append(
         StageStat("vcycle1", swap_count(candidate), candidate.depth, time.monotonic() - t0)
     )
-    best = candidate if _better(circuit, candidate, initial) else initial
+    best = candidate if _better(candidate, initial) else initial
     return FlowResult(initial, best, hierarchy, stats)
 
 
-def _better(circuit: Circuit, a: QlsSolution, b: QlsSolution) -> bool:
-    ka = (swap_count(a), a.depth if a.depth is not None else asap_depth(circuit, a))
-    kb = (swap_count(b), b.depth if b.depth is not None else asap_depth(circuit, b))
-    return ka < kb
+def _better(a: QlsSolution, b: QlsSolution) -> bool:
+    return (swap_count(a), a.depth) < (swap_count(b), b.depth)
 
 
 def _build_hierarchy(circuit: Circuit, graph: CouplingGraph, guide: Mapping) -> LevelHierarchy:
@@ -176,7 +174,7 @@ def _solve_hierarchy(
         refined = srefine_run(
             level.circuit, level.graph, regions, cfg.srefine, random.Random(rng.randrange(1 << 62))
         )
-        return refined if _better(level.circuit, refined, coarse_sol) else coarse_sol
+        return refined if _better(refined, coarse_sol) else coarse_sol
     for i in range(len(hierarchy) - 2, -1, -1):
         level = hierarchy.levels[i]
         assert level.prog_map is not None and level.phys_map is not None

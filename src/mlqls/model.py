@@ -123,8 +123,6 @@ class DependencyDag:
 
     def __init__(self, circuit: Circuit):
         n = len(circuit.gates)
-        self.num_gates = n
-        preds: list[set[int]] = [set() for _ in range(n)]
         succs: list[set[int]] = [set() for _ in range(n)]
         pred_masks = [0] * n
         parents2: list[tuple[int, ...]] = [()] * n
@@ -138,7 +136,6 @@ class DependencyDag:
                 par2 = []
                 for q in g.qubits:
                     if q in last_gate:
-                        preds[g.id].add(last_gate[q])
                         succs[last_gate[q]].add(g.id)
                         pred_masks[g.id] |= 1 << last_gate[q]
                     if g.is_two_qubit and q in last2:
@@ -153,36 +150,11 @@ class DependencyDag:
                         chain_depth[q] = depth2[g.id] + 1
                 for q in g.qubits:
                     last_gate[q] = g.id
-        self.preds = tuple(tuple(sorted(s)) for s in preds)
         self.succs = tuple(tuple(sorted(s)) for s in succs)
         self.pred_masks = tuple(pred_masks)
         self.parents2 = tuple(parents2)
         self.children2 = tuple(tuple(cs) for cs in children2)
         self.depth2 = tuple(depth2)
-
-    def indegrees(self) -> list[int]:
-        return [len(p) for p in self.preds]
-
-    def is_acyclic(self) -> bool:
-        """Kahn check; list-order construction should always satisfy it."""
-        indeg = self.indegrees()
-        queue = deque(i for i, d in enumerate(indeg) if d == 0)
-        seen = 0
-        while queue:
-            u = queue.popleft()
-            seen += 1
-            for v in self.succs[u]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    queue.append(v)
-        return seen == self.num_gates
-
-    def longest_chain(self) -> int:
-        """Length (in gates) of the longest dependency chain."""
-        depth = [0] * self.num_gates
-        for i in range(self.num_gates):
-            depth[i] = 1 + max((depth[p] for p in self.preds[i]), default=0)
-        return max(depth, default=0)
 
 
 def build_dag(circuit: Circuit) -> DependencyDag:

@@ -19,11 +19,11 @@ import math
 import random
 from collections import deque
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .cluster import MappingRegion
 from .model import Circuit, CouplingGraph, DependencyDag, Mapping, build_dag, uncommon_qubits
-from .verify import QlsSolution, SolutionBuilder, SwapOp, asap_depth, swap_count, verify
+from .verify import QlsSolution, SwapOp, asap_depth, swap_count, verify
 
 _MAPPER_NODES_PER_SECOND = 50_000
 _MAPPER_QUBIT_LIMIT = 100  # larger circuits start from random placements
@@ -557,44 +557,30 @@ def astar_insert(circuit: Circuit, graph: CouplingGraph, m0: Mapping) -> QlsSolu
     """Route a circuit from a fixed initial mapping by searching over SWAP
     sequences; gates execute as soon as they become adjacent, forming blocks.
 
-    Always returns a verified solution. If frontier trimming strands the
-    search, the best partial state is committed and the cheapest SWAP is
-    forced, so progress never stalls. Draws no random numbers.
+    Always returns a verified solution, unscheduled (``depth`` None). If
+    frontier trimming strands the search, it continues from the best partial
+    state with the cheapest SWAP forced, so progress never stalls. The answer
+    is read off the final state's parent chain. Draws no random numbers.
     """
     if circuit.num_qubits > graph.num_physical:
         raise ValueError("more program qubits than physical qubits")
     ctx = _RouteContext(circuit, graph)
-    builder = SolutionBuilder(ctx.num_gates, m0)
     node = ctx.make_root(m0)
-    for gid in node.done_here:
-        builder.execute(gid)
     forced_streak = 0
     while node.exec_mask != ctx.all_mask:
-        goal, partial = _episode(ctx, node)
+        goal, node = _episode(ctx, node)
         if goal is not None:
-            _commit_path(builder, node, goal)
             node = goal
             break
-        _commit_path(builder, node, partial)
-        node = partial
-        edges = ctx.candidate_edges(node)
-        forced = min(
-            (ctx.make_child(node, a, b) for a, b in edges),
+        node = min(
+            (ctx.make_child(node, a, b) for a, b in ctx.candidate_edges(node)),
             key=lambda ch: (ch.h, ch.edge),
         )
-        builder.add_swap(forced.edge)
-        for gid in forced.done_here:
-            builder.execute(gid)
-        forced_streak = 0 if forced.done_here else forced_streak + 1
-        node = forced
+        forced_streak = 0 if node.done_here else forced_streak + 1
         if forced_streak > 2 * graph.num_physical:
-            node = _force_nearest_gate(ctx, node, builder)
+            node = _force_nearest_gate(ctx, node)
             forced_streak = 0
-    assert node.exec_mask == ctx.all_mask
-    sol = builder.build()
-    sol = QlsSolution(
-        sol.block_mappings, sol.gate_block, sol.swaps, asap_depth(circuit, sol)
-    )
+    sol = _path_solution(ctx, node)
     report = verify(circuit, graph, sol)
     if not report.ok:
         raise AssertionError(f"router produced invalid solution: {report.first_failure()}")
@@ -633,21 +619,9 @@ def _episode(ctx: _RouteContext, root: _Node):
     return None, best_partial
 
 
-def _commit_path(builder: SolutionBuilder, root: _Node, target: _Node) -> None:
-    chain = []
-    node = target
-    while node is not root:
-        chain.append(node)
-        node = node.parent
-    for node in reversed(chain):
-        builder.add_swap(node.edge)
-        for gid in node.done_here:
-            builder.execute(gid)
-
-
-def _force_nearest_gate(ctx: _RouteContext, node: _Node, builder: SolutionBuilder) -> _Node:
+def _force_nearest_gate(ctx: _RouteContext, node: _Node) -> _Node:
     """Last-resort progress: walk the closest ready gate together along a
-    shortest path, committing every SWAP."""
+    shortest path, one child per SWAP; returns the last child."""
     dist = ctx.dist
     gid = min(
         node.ready,
@@ -658,10 +632,31 @@ def _force_nearest_gate(ctx: _RouteContext, node: _Node, builder: SolutionBuilde
         pa, pb = node.pos[qa], node.pos[qb]
         step = min(ctx.neighbors[pa], key=lambda nb: (dist[nb][pb], nb))
         node = ctx.make_child(node, *((pa, step) if pa < step else (step, pa)))
-        builder.add_swap(node.edge)
-        for done in node.done_here:
-            builder.execute(done)
     return node
+
+
+def _path_solution(ctx: _RouteContext, node: _Node) -> QlsSolution:
+    """The unscheduled solution along the parent chain from the root to
+    ``node``. The root's gates sit in block 0; each later node that ran
+    gates opens a block at its own positions, and the SWAPs since the
+    previous block fill the gap before it. A gate that ``node`` has not run
+    keeps block -1, which ``verify`` rejects."""
+    chain = []
+    while node.parent is not None:
+        chain.append(node)
+        node = node.parent
+    blocks = [Mapping(tuple(node.pos))]
+    gate_block = [-1] * ctx.num_gates
+    for gid in node.done_here:
+        gate_block[gid] = 0
+    swaps = []
+    for node in reversed(chain):
+        swaps.append(SwapOp(node.edge, len(blocks) - 1))
+        if node.done_here:
+            for gid in node.done_here:
+                gate_block[gid] = len(blocks)
+            blocks.append(Mapping(tuple(node.pos)))
+    return QlsSolution(tuple(blocks), tuple(gate_block), tuple(swaps))
 
 
 # ---------------------------------------------------------------------------
@@ -684,13 +679,14 @@ def reverse_solution(sol: QlsSolution) -> QlsSolution:
         old_gap = nb - 2 - new_gap
         for edge in reversed(by_gap.get(old_gap, [])):
             swaps.append(SwapOp(edge, new_gap))
-    return QlsSolution(mappings, gate_block, tuple(swaps), None)
+    return QlsSolution(mappings, gate_block, tuple(swaps))
 
 
 def forward_backward(circuit: Circuit, graph: CouplingGraph, m0: Mapping) -> QlsSolution:
     """Alternate forward and reversed compilation passes, each starting from
     the previous final mapping, until the SWAP count stops improving; the best
-    pass (re-oriented forward) wins."""
+    pass (re-oriented forward) wins, and only it is scheduled for its ASAP
+    depth."""
     rev = None  # the reversed circuit, built when a backward pass first runs
     mapping = m0
     best: QlsSolution | None = None
@@ -712,11 +708,7 @@ def forward_backward(circuit: Circuit, graph: CouplingGraph, m0: Mapping) -> Qls
         mapping = sol.block_mappings[-1]
         forward = not forward
     assert best is not None
-    if best.depth is None:
-        best = QlsSolution(
-            best.block_mappings, best.gate_block, best.swaps, asap_depth(circuit, best)
-        )
-    return best
+    return replace(best, depth=asap_depth(circuit, best))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""Independent validity checking of layout-synthesis solutions, plus cost metrics.
+"""Layout-synthesis solutions: independent validity checking, cost metrics
+(SWAP count, ASAP depth) and JSON serialization.
 
 A solution is a sequence of blocks (constant-mapping circuit segments), a
 gate-to-block schedule, and the SWAPs inserted between consecutive blocks.
 The checker tests the four validity constraints: per-block injectivity, gate
-dependency order, two-qubit adjacency, and SWAP/mapping consistency.
+dependency order, two-qubit adjacency, and SWAP/mapping consistency. The
+solvers build their own solutions; this module only checks, schedules and
+serializes them.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ class SwapOp(NamedTuple):
 
 @dataclass(frozen=True)
 class QlsSolution:
-    """A block-structured layout synthesis result."""
+    """A block-structured layout synthesis result. ``depth`` is its ASAP
+    depth, or None while it is unscheduled, as a single routing pass is."""
 
     block_mappings: tuple[Mapping, ...]
     gate_block: tuple[int, ...]
@@ -225,52 +229,8 @@ def asap_depth(circuit: Circuit, sol: QlsSolution, graph: CouplingGraph | None =
 
 
 # ---------------------------------------------------------------------------
-# Solution construction and serialization
+# Serialization
 # ---------------------------------------------------------------------------
-
-
-class SolutionBuilder:
-    """Accumulates executed gates and SWAPs while routing, folding runs of
-    SWAPs into inter-block gaps. Trailing SWAPs after the last gate are dropped.
-    """
-
-    def __init__(self, num_gates: int, start: Mapping):
-        self._current = list(start.assignment)
-        self._pos = {p: q for q, p in enumerate(start.assignment)}
-        self._blocks = [tuple(start.assignment)]
-        self._gate_block = [-1] * num_gates
-        self._swaps: list[SwapOp] = []
-        self._pending: list[tuple[int, int]] = []
-
-    def add_swap(self, edge: tuple[int, int]) -> None:
-        a, b = min(edge), max(edge)
-        qa, qb = self._pos.pop(a, None), self._pos.pop(b, None)
-        if qa is not None:
-            self._current[qa] = b
-            self._pos[b] = qa
-        if qb is not None:
-            self._current[qb] = a
-            self._pos[a] = qb
-        self._pending.append((a, b))
-
-    def execute(self, gate_id: int) -> None:
-        if self._pending:
-            gap = len(self._blocks) - 1
-            self._swaps.extend(SwapOp(e, gap) for e in self._pending)
-            self._pending = []
-            self._blocks.append(tuple(self._current))
-        self._gate_block[gate_id] = len(self._blocks) - 1
-
-    def build(self) -> QlsSolution:
-        if any(b < 0 for b in self._gate_block):
-            missing = [i for i, b in enumerate(self._gate_block) if b < 0]
-            raise ValueError(f"gates never executed: {missing[:5]}")
-        return QlsSolution(
-            tuple(Mapping(m) for m in self._blocks),
-            tuple(self._gate_block),
-            tuple(self._swaps),
-            None,
-        )
 
 
 def solution_to_json(sol: QlsSolution) -> dict:

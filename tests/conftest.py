@@ -22,6 +22,7 @@ from mlqls.srefine import (
     _extend_partial,
     _terms_cost,
 )
+from mlqls.verify import QlsSolution, SwapOp
 
 
 @pytest.fixture(scope="session")
@@ -83,6 +84,89 @@ def random_connected_graph(rng: random.Random, n: int, extra: int):
     return edges
 
 
+def indegrees(dag) -> list[int]:
+    """Each gate's count of predecessors, from ``dag.succs`` alone."""
+    indeg = [0] * len(dag.succs)
+    for succs in dag.succs:
+        for s in succs:
+            indeg[s] += 1
+    return indeg
+
+
+def is_acyclic(dag) -> bool:
+    """Kahn check over ``dag.succs``; list-order construction should always
+    satisfy it."""
+    indeg = indegrees(dag)
+    queue = deque(i for i, d in enumerate(indeg) if d == 0)
+    seen = 0
+    while queue:
+        u = queue.popleft()
+        seen += 1
+        for v in dag.succs[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                queue.append(v)
+    return seen == len(dag.succs)
+
+
+def longest_chain(dag) -> int:
+    """Length (in gates) of the longest dependency chain. Every dependency
+    runs from a lower gate id to a higher one, so one ascending pass over
+    ``dag.succs`` settles each gate before its successors."""
+    depth = [1] * len(dag.succs)
+    for gid, succs in enumerate(dag.succs):
+        for s in succs:
+            depth[s] = max(depth[s], depth[gid] + 1)
+    return max(depth, default=0)
+
+
+class ReferenceSolutionBuilder:
+    """Accumulates executed gates and SWAPs while routing, folding runs of
+    SWAPs into inter-block gaps. Trailing SWAPs after the last gate are dropped.
+
+    The router's first answer builder, fed one SWAP and one executed gate at
+    a time: the reference for reading the answer off a search path.
+    """
+
+    def __init__(self, num_gates: int, start: Mapping):
+        self._current = list(start.assignment)
+        self._pos = {p: q for q, p in enumerate(start.assignment)}
+        self._blocks = [tuple(start.assignment)]
+        self._gate_block = [-1] * num_gates
+        self._swaps: list[SwapOp] = []
+        self._pending: list[tuple[int, int]] = []
+
+    def add_swap(self, edge: tuple[int, int]) -> None:
+        a, b = min(edge), max(edge)
+        qa, qb = self._pos.pop(a, None), self._pos.pop(b, None)
+        if qa is not None:
+            self._current[qa] = b
+            self._pos[b] = qa
+        if qb is not None:
+            self._current[qb] = a
+            self._pos[a] = qb
+        self._pending.append((a, b))
+
+    def execute(self, gate_id: int) -> None:
+        if self._pending:
+            gap = len(self._blocks) - 1
+            self._swaps.extend(SwapOp(e, gap) for e in self._pending)
+            self._pending = []
+            self._blocks.append(tuple(self._current))
+        self._gate_block[gate_id] = len(self._blocks) - 1
+
+    def build(self) -> QlsSolution:
+        if any(b < 0 for b in self._gate_block):
+            missing = [i for i, b in enumerate(self._gate_block) if b < 0]
+            raise ValueError(f"gates never executed: {missing[:5]}")
+        return QlsSolution(
+            tuple(Mapping(m) for m in self._blocks),
+            tuple(self._gate_block),
+            tuple(self._swaps),
+            None,
+        )
+
+
 def reference_state_key(search, tag: int, block: int) -> tuple:
     """The exact solver's visited-state key as first written, a tuple: the
     tag (``"b"`` at a block node, ``("g", edge index)`` at a gap node), the
@@ -100,7 +184,7 @@ def reference_closure(circuit: Circuit, graph: CouplingGraph, pos, executed: int
     first did it: a gate runs when its count of unrun predecessors is 0 and,
     for a two-qubit gate, its qubits sit on adjacent positions."""
     dag = build_dag(circuit)
-    indeg = dag.indegrees()
+    indeg = indegrees(dag)
     for gid in range(len(circuit.gates)):
         if executed >> gid & 1:
             for s in dag.succs[gid]:

@@ -58,6 +58,33 @@ def test_verify_rejects_mutated_solution(tmp_path):
     assert main(["compile", "--mode", "verify", "--solution", str(mutated)]) == 1
 
 
+def test_verify_checks_recorded_depth_and_swap_count(tmp_path, capsys):
+    out = tmp_path / "sol.json"
+    argv = ["compile", "--device", "grid:3", "--gen", "qaoa:n=8", "--mode", "srefine"]
+    assert main([*argv, "--out", str(out)]) == 0
+    solution = json.loads(out.read_text())["solution"]
+    swaps, depth = solution["swap_count"], solution["depth"]
+    assert swaps > 0 and depth > 0
+
+    def verify_with(drop=(), **changes):
+        bundle = json.loads(out.read_text())
+        bundle["solution"].update(changes)
+        for key in drop:
+            del bundle["solution"][key]
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(bundle))
+        capsys.readouterr()
+        rc = main(["compile", "--mode", "verify", "--solution", str(edited)])
+        return rc, capsys.readouterr().out
+
+    assert verify_with(depth=999) == (1, f"FAIL depth: recorded 999, ASAP depth {depth}\n")
+    rc, printed = verify_with(swap_count=swaps + 1)
+    assert rc == 1
+    assert printed == f"FAIL swap_count: recorded {swaps + 1}, SWAPs listed {swaps}\n"
+    # a null depth and a missing swap_count are not checked
+    assert verify_with(drop=["swap_count"], depth=None) == (0, f"OK swaps={swaps} depth={depth}\n")
+
+
 def test_exact_bundle_reports_nodes(tmp_path):
     out = tmp_path / "sol.json"
     argv = ["compile", "--device", "path:4", "--gen", "qaoa:n=4", "--mode", "exact"]

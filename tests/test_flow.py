@@ -20,7 +20,7 @@ from mlqls import (
 from mlqls.exact import MAX_QUBITS, ExactConfig, optimal_oracle
 from mlqls.flow import FlowConfig, compression_guard, run_mlqls
 from mlqls.srefine import SrefineConfig
-from mlqls.verify import solution_to_json, swap_count, verify
+from mlqls.verify import asap_depth, solution_to_json, swap_count, verify
 
 
 def fast_cfg(seed=0):
@@ -136,5 +136,7 @@ def test_flow_is_valid_bounded_and_reproducible(instance):
     assert verify(c, graph, r.final).ok
     assert optimal_oracle(c, graph, swap_count(r.final)) is not None
     assert swap_count(r.final) <= swap_count(r.initial)
+    assert r.initial.depth == asap_depth(c, r.initial)
+    assert r.final.depth == asap_depth(c, r.final)
     again = run_mlqls(c, graph, fast_cfg(seed))
     assert solution_to_json(again.final) == solution_to_json(r.final)

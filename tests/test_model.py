@@ -21,7 +21,7 @@ from mlqls import (
 )
 from mlqls.verify import QlsSolution, asap_depth, verify
 
-from conftest import random_connected_graph
+from conftest import is_acyclic, random_connected_graph
 
 
 class TestParseQasm:
@@ -108,26 +108,26 @@ class TestBuildDag:
     def test_shared_qubit_chain(self):
         dag = build_dag(Circuit.from_pairs(3, [(0, 1), (0, 2)]))
         assert dag.succs[0] == (1,)
-        assert dag.preds[1] == (0,)
+        assert dag.pred_masks[1] == 0b1
 
     def test_commutable_has_no_edges(self):
         dag = build_dag(Circuit.from_pairs(3, [(0, 1), (0, 2)], commutable=True))
-        assert all(not p for p in dag.preds)
+        assert not any(dag.pred_masks)
         assert all(not s for s in dag.succs)
 
     def test_disjoint_supports(self):
         dag = build_dag(Circuit.from_pairs(4, [(0, 1), (2, 3)]))
-        assert all(not p for p in dag.preds)
+        assert not any(dag.pred_masks)
 
     def test_acyclic_and_parents(self):
         c = Circuit(4, (Gate(0, (0, 1)), Gate(1, (1,), "h"), Gate(2, (1, 2)), Gate(3, (0, 2))))
         dag = build_dag(c)
-        assert dag.is_acyclic()
+        assert is_acyclic(dag)
         # nearest earlier two-qubit gate per target qubit
         assert dag.parents2[2] == (0,)
         assert set(dag.parents2[3]) == {0, 2}
         # the single-qubit gate still chains the dependency order
-        assert dag.preds[2] == (1,)
+        assert dag.pred_masks[2] == 0b10
 
     def test_pred_masks(self):
         c = Circuit(4, (Gate(0, (0, 1)), Gate(1, (1,), "h"), Gate(2, (1, 2)), Gate(3, (0, 2))))

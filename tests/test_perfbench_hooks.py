@@ -31,14 +31,31 @@ def test_every_traced_layer_is_a_package_callable():
     assert not missing, missing
 
 
-@pytest.mark.parametrize("workload", _WORKLOADS)
-def test_benchmark_smoke_run_is_correct(workload):
+def _smoke_run(workload: str, trace: int) -> tuple[dict, str]:
+    """One smoke run of the benchmark; returns its result line and stderr."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
-         "--seconds", "1", "--trace", "0", "--smoke"],
+         "--seconds", "1", "--trace", str(trace), "--smoke"],
         cwd=_ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"], proc.stderr
     assert result["failed"] == 0
+    return result, proc.stderr
+
+
+# The traced layers' counters read what astar_insert and run_mlqls return,
+# so a change to those results fails here instead of leaving a layer at 0.
+_ROUTES_WITH_SWAPS = ("qaoa-vcycle", "route-noncomm")
+
+
+@pytest.mark.parametrize("workload", _WORKLOADS)
+def test_benchmark_smoke_run_is_correct(workload):
+    _smoke_run(workload, 0)
+    result, stderr = _smoke_run(workload, 1)
+    assert "not found" not in stderr, stderr
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    assert metrics["srefine.route.calls"] > 0
+    if workload in _ROUTES_WITH_SWAPS:
+        assert metrics["srefine.route.swaps"] > 0

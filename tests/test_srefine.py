@@ -4,6 +4,7 @@ import random
 import pytest
 from conftest import (
     AStarState,
+    ReferenceSolutionBuilder,
     heuristic_h,
     random_connected_graph,
     reference_child,
@@ -26,6 +27,7 @@ from mlqls.srefine import (
     _GAMMA,
     SrefineConfig,
     _embed,
+    _path_solution,
     _related_pairs,
     _Node,
     _RouteContext,
@@ -37,7 +39,7 @@ from mlqls.srefine import (
     sa_initial_mapping,
     srefine_run,
 )
-from mlqls.verify import swap_count, verify
+from mlqls.verify import asap_depth, swap_count, verify
 
 
 def spy(monkeypatch, name):
@@ -279,6 +281,21 @@ class TestAstarInsert:
         sol = astar_insert(c, grid3, Mapping(tuple(range(8))))
         assert verify(c, grid3, sol).ok
 
+    def test_answer_is_unscheduled(self, grid3):
+        # forward_backward schedules the one pass it keeps
+        c = gen_queko(grid3, 4, 0.5, seed=2)[0]
+        assert astar_insert(c, grid3, Mapping(tuple(range(c.num_qubits)))).depth is None
+
+    def test_unrun_gate_fails_structure(self, path4):
+        # gate 1 is not adjacent at the root, so the root's answer leaves
+        # it at block -1
+        c = Circuit.from_pairs(4, [(0, 1), (0, 3)])
+        ctx = _RouteContext(c, path4)
+        sol = _path_solution(ctx, ctx.make_root(Mapping((0, 1, 2, 3))))
+        assert sol.gate_block == (0, -1)
+        report = verify(c, path4, sol)
+        assert report.first_failure() == "structure: gate 1 assigned to invalid block -1"
+
 
 class TestForwardBackward:
     def test_zero_swap_forward_terminates(self, path4):
@@ -329,6 +346,18 @@ class TestForwardBackward:
         assert len(routes) == 4  # forward, backward, forward, backward
         assert len(reversals) == 1 and reversals[0] is c
 
+    def test_depth_is_scheduled_once(self, grid3, monkeypatch):
+        # the instance above: four passes, and only the kept one is scheduled
+        routes = spy(monkeypatch, "astar_insert")
+        depths = spy(monkeypatch, "asap_depth")
+        rng = random.Random(2)
+        c = Circuit.from_pairs(7, [tuple(rng.sample(range(7), 2)) for _ in range(12)])
+        m0 = Mapping(tuple(rng.sample(range(9), 7)))
+        sol = forward_backward(c, grid3, m0)
+        assert len(routes) == 4
+        assert len(depths) == 1 and depths[0][0] is c
+        assert sol.depth == asap_depth(c, sol, grid3)
+
     def test_reverse_solution_is_valid_for_original(self, grid3):
         rng = random.Random(31)
         pairs = [tuple(rng.sample(range(6), 2)) for _ in range(9)]
@@ -338,6 +367,7 @@ class TestForwardBackward:
         sol = reverse_solution(sol_rev)
         assert verify(c, grid3, sol).ok
         assert swap_count(sol) == swap_count(sol_rev)
+        assert sol.depth is None
 
 
 class TestInitialMapper:
@@ -722,30 +752,111 @@ def test_expand_matches_reference_during_search(monkeypatch, grid4, commutable):
     assert len(expanded) > 100
 
 
+def strand(monkeypatch) -> None:
+    """Make every search episode strand at once, so the router forces a
+    SWAP at every step."""
+    monkeypatch.setattr(srefine, "_episode", lambda ctx, root: (None, root))
+
+
+# On path:5 a stranded search of this circuit forces SWAPs that stall long
+# enough to reach _force_nearest_gate, whose walk steps from position 4
+# down to 3.
+STRANDED_CIRCUIT = Circuit.from_pairs(5, [(2, 4), (3, 0), (3, 0), (0, 1), (2, 0)])
+STRANDED_START = Mapping((2, 0, 3, 4, 1))
+
+
 @pytest.mark.parametrize("stranded", [False, True])
 def test_swap_edges_are_ordered(monkeypatch, stranded):
-    # Every SWAP the router commits reaches the builder already as
-    # (low, high); the builder would order it anyway, so the spy checks what
-    # it is given. Searched SWAPs come from expansion. A stranded search
-    # forces a SWAP at every step; on this instance the forced SWAPs stall
-    # long enough to reach _force_nearest_gate, whose walk steps from
-    # position 4 down to 3.
+    # The answer's SWAPs are the path's node edges as they are, so every
+    # one must be (low, high). Searched SWAPs come from expansion, forced
+    # ones from make_child and the walk of _force_nearest_gate.
     if stranded:
-        monkeypatch.setattr(srefine, "_episode", lambda ctx, root: (None, root))
+        strand(monkeypatch)
     walks = spy(monkeypatch, "_force_nearest_gate")
-    added = []
-    real_add = srefine.SolutionBuilder.add_swap
-    monkeypatch.setattr(
-        srefine.SolutionBuilder,
-        "add_swap",
-        lambda self, edge: added.append(edge) or real_add(self, edge),
-    )
-    graph = make_device("path", 5)
-    c = Circuit.from_pairs(5, [(2, 4), (3, 0), (3, 0), (0, 1), (2, 0)])
-    sol = astar_insert(c, graph, Mapping((2, 0, 3, 4, 1)))
+    sol = astar_insert(STRANDED_CIRCUIT, make_device("path", 5), STRANDED_START)
     assert bool(walks) == stranded
-    assert sol.swaps and all(a < b for a, b in added)
-    assert [sw.edge for sw in sol.swaps] == added[: len(sol.swaps)]
+    assert sol.swaps and all(a < b for (a, b), _ in sol.swaps)
+
+
+def reference_path_solution(ctx, node):
+    """The answer along ``node``'s parent chain as the router first built
+    it: ``ReferenceSolutionBuilder`` fed the root's gates, then each later
+    node's SWAP and gates."""
+    chain = []
+    while node is not None:
+        chain.append(node)
+        node = node.parent
+    root = chain.pop()
+    builder = ReferenceSolutionBuilder(ctx.num_gates, Mapping(tuple(root.pos)))
+    for gid in root.done_here:
+        builder.execute(gid)
+    for node in reversed(chain):
+        builder.add_swap(node.edge)
+        for gid in node.done_here:
+            builder.execute(gid)
+    return builder.build()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(routing_walks())
+def test_path_solution_matches_reference_builder(instance):
+    # Walks mix searched children, forced SWAPs and nearest-gate walks, so
+    # gaps of one and of several SWAPs occur, and the root may run gates.
+    graph, circuit, start, seed = instance
+    ctx = _RouteContext(circuit, graph)
+    node = ctx.make_root(start)
+    rng = random.Random(seed)
+    for _ in range(60):
+        if node.exec_mask == ctx.all_mask:
+            break
+        children = ctx.expand(node)
+        r = rng.random()
+        if children and r < 0.6:
+            node = children[rng.randrange(len(children))]
+        elif r < 0.85:
+            edges = ctx.candidate_edges(node)
+            node = ctx.make_child(node, *edges[rng.randrange(len(edges))])
+        else:
+            node = srefine._force_nearest_gate(ctx, node)
+    if node.exec_mask != ctx.all_mask:
+        return
+    sol = _path_solution(ctx, node)
+    assert sol == reference_path_solution(ctx, node)
+    assert verify(circuit, graph, sol).ok
+
+
+def check_path_solutions(monkeypatch) -> list:
+    """Compare every answer ``astar_insert`` reads off a path with the
+    reference builder's; returns the answers."""
+    answers = []
+
+    def checked(ctx, node):
+        sol = real(ctx, node)
+        assert sol == reference_path_solution(ctx, node)
+        answers.append(sol)
+        return sol
+
+    real = srefine._path_solution
+    monkeypatch.setattr(srefine, "_path_solution", checked)
+    return answers
+
+
+@pytest.mark.parametrize("commutable", [False, True])
+def test_path_solution_matches_reference_during_search(monkeypatch, grid4, commutable):
+    answers = check_path_solutions(monkeypatch)
+    rng = random.Random(7)
+    for _ in range(3):
+        c = Circuit(12, random_gates(rng, 12, 30), commutable)
+        astar_insert(c, grid4, Mapping(tuple(rng.sample(range(16), 12))))
+    assert len(answers) == 3 and all(sol.swaps for sol in answers)
+
+
+def test_path_solution_matches_reference_when_stranded(monkeypatch):
+    strand(monkeypatch)
+    walks = spy(monkeypatch, "_force_nearest_gate")
+    answers = check_path_solutions(monkeypatch)
+    astar_insert(STRANDED_CIRCUIT, make_device("path", 5), STRANDED_START)
+    assert walks and len(answers) == 1
 
 
 @st.composite

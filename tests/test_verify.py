@@ -2,11 +2,11 @@ import json
 import random
 
 import pytest
+from conftest import longest_chain
 
 from mlqls import Circuit, Mapping, build_dag, gen_queko
 from mlqls.verify import (
     QlsSolution,
-    SolutionBuilder,
     SwapOp,
     asap_depth,
     solution_from_json,
@@ -117,7 +117,7 @@ class TestAsapDepth:
             pairs = [tuple(rng.sample(range(6), 2)) for _ in range(8)]
             c = Circuit.from_pairs(6, pairs)
             sol = _route_identity(c, grid4)
-            assert asap_depth(c, sol, grid4) >= build_dag(c).longest_chain()
+            assert asap_depth(c, sol, grid4) >= longest_chain(build_dag(c))
 
     def test_swaps_occupy_cycles(self, two_block_solution):
         c, g, sol = two_block_solution
@@ -130,32 +130,6 @@ def _route_identity(circuit, graph):
 
     m0 = Mapping(tuple(range(circuit.num_qubits)))
     return astar_insert(circuit, graph, m0)
-
-
-class TestSolutionBuilder:
-    def test_blocks_form_as_swaps_interleave(self):
-        b = SolutionBuilder(3, Mapping((0, 1, 2)))
-        b.execute(0)
-        b.add_swap((0, 1))
-        b.execute(1)
-        b.execute(2)
-        sol = b.build()
-        assert sol.num_blocks == 2
-        assert sol.gate_block == (0, 1, 1)
-        assert sol.block_mappings[1].assignment == (1, 0, 2)
-
-    def test_trailing_swaps_dropped(self):
-        b = SolutionBuilder(1, Mapping((0, 1)))
-        b.execute(0)
-        b.add_swap((0, 1))
-        sol = b.build()
-        assert sol.num_blocks == 1 and not sol.swaps
-
-    def test_unexecuted_gate_rejected(self):
-        b = SolutionBuilder(2, Mapping((0, 1)))
-        b.execute(0)
-        with pytest.raises(ValueError, match="never executed"):
-            b.build()
 
 
 def test_solution_json_roundtrip(two_block_solution):
