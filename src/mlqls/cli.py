@@ -6,11 +6,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .exact import ExactConfig, solve_exact
 from .flow import FlowConfig, run_mlqls
@@ -281,12 +279,7 @@ def cmd_bench(suite: str, devices: list[str], depths: list[int], sizes: list[int
         )
     for job in jobs:
         job["budget_scale"] = budget_scale
-    workers = int(os.environ.get("MLQLS_THREADS", "1"))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_bench_job, jobs))
-    else:
-        rows = [_run_bench_job(job) for job in jobs]
+    rows = [_run_bench_job(job) for job in jobs]
     rows.sort(key=lambda r: (r["suite"], r["circuit"], r["device"], r["mode"], r["seed"]))
     csv_lines = [_CSV_HEADER]
     for r in rows:

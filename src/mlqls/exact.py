@@ -29,18 +29,21 @@ breadth-first placement.
 
 ``optimal_oracle`` is a deliberately independent check: exhaustive BFS over
 (total mapping, executed set) states with no pruning beyond visited-state
-deduplication. Keep it that way; it is the reference the solver is tested
-against.
+deduplication. It reads gate order off the circuit with
+``verify._previous_gates``, as the verifier does: a gate waits for the
+previous gate on each of its qubits. It builds no ``DependencyDag``, so a
+fault in the DAG the solvers search with cannot move its answer. Keep it
+that way; it is the reference the solver is tested against.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .model import Circuit, CouplingGraph, Mapping, build_dag, make_device
 from .srefine import _extend_partial, astar_insert
-from .verify import QlsSolution, SwapOp, asap_depth, swap_count, verify
+from .verify import QlsSolution, SwapOp, _previous_gates, asap_depth, swap_count, verify
 
 
 # Largest instance the solver accepts; the V cycle coarsens until its
@@ -144,13 +147,10 @@ def solve_exact(
         b += 1
     else:
         proven = True
-    depth = asap_depth(circuit, incumbent)
-    incumbent = QlsSolution(
-        incumbent.block_mappings, incumbent.gate_block, incumbent.swaps, depth
-    )
     report = verify(circuit, graph, incumbent)
     if not report.ok:  # internal bug guard; solutions must always verify
         raise AssertionError(f"exact solver produced invalid solution: {report.first_failure()}")
+    incumbent = replace(incumbent, depth=asap_depth(circuit, incumbent))
     return ExactResult(incumbent, proven, timed_out, searcher.nodes)
 
 
@@ -442,34 +442,23 @@ def optimal_oracle(circuit: Circuit, graph: CouplingGraph, max_swaps: int) -> in
         raise OracleLimitError("oracle limited to 10 gates")
     if circuit.num_qubits > graph.num_physical:
         raise ValueError("more program qubits than physical qubits")
-    dag = build_dag(circuit)
     dist = graph.dist
     gates = circuit.gates
-    base_indeg = [0] * len(gates)  # counted from succs, not from pred_masks
-    for succs in dag.succs:
-        for succ in succs:
-            base_indeg[succ] += 1
+    preds = [sum(1 << p for p in prev) for prev in _previous_gates(circuit)]
     all_mask = (1 << len(gates)) - 1
 
     def closed(assignment: tuple[int, ...], mask: int) -> int:
-        indeg = list(base_indeg)
-        for gid in range(len(gates)):
-            if mask & (1 << gid):
-                for s in dag.succs[gid]:
-                    indeg[s] -= 1
         progress = True
         while progress:
             progress = False
             for g in gates:
-                if mask & (1 << g.id) or indeg[g.id] != 0:
+                if mask >> g.id & 1 or preds[g.id] & ~mask:
                     continue
                 if g.is_two_qubit:
                     pa, pb = assignment[g.qubits[0]], assignment[g.qubits[1]]
                     if dist[pa][pb] != 1:
                         continue
                 mask |= 1 << g.id
-                for s in dag.succs[g.id]:
-                    indeg[s] -= 1
                 progress = True
         return mask
 

@@ -557,10 +557,11 @@ def astar_insert(circuit: Circuit, graph: CouplingGraph, m0: Mapping) -> QlsSolu
     """Route a circuit from a fixed initial mapping by searching over SWAP
     sequences; gates execute as soon as they become adjacent, forming blocks.
 
-    Always returns a verified solution, unscheduled (``depth`` None). If
-    frontier trimming strands the search, it continues from the best partial
-    state with the cheapest SWAP forced, so progress never stalls. The answer
-    is read off the final state's parent chain. Draws no random numbers.
+    Returns an unverified, unscheduled solution (``depth`` None): the
+    caller checks the pass it keeps. If frontier trimming strands the
+    search, it continues from the best partial state with the cheapest SWAP
+    forced, so progress never stalls. The answer is read off the final
+    state's parent chain. Draws no random numbers.
     """
     if circuit.num_qubits > graph.num_physical:
         raise ValueError("more program qubits than physical qubits")
@@ -580,11 +581,7 @@ def astar_insert(circuit: Circuit, graph: CouplingGraph, m0: Mapping) -> QlsSolu
         if forced_streak > 2 * graph.num_physical:
             node = _force_nearest_gate(ctx, node)
             forced_streak = 0
-    sol = _path_solution(ctx, node)
-    report = verify(circuit, graph, sol)
-    if not report.ok:
-        raise AssertionError(f"router produced invalid solution: {report.first_failure()}")
-    return sol
+    return _path_solution(ctx, node)
 
 
 def _episode(ctx: _RouteContext, root: _Node):
@@ -685,8 +682,9 @@ def reverse_solution(sol: QlsSolution) -> QlsSolution:
 def forward_backward(circuit: Circuit, graph: CouplingGraph, m0: Mapping) -> QlsSolution:
     """Alternate forward and reversed compilation passes, each starting from
     the previous final mapping, until the SWAP count stops improving; the best
-    pass (re-oriented forward) wins, and only it is scheduled for its ASAP
-    depth."""
+    pass (re-oriented forward) wins. Only it is verified, in the orientation
+    returned, and scheduled for its ASAP depth; AssertionError if it fails
+    the check."""
     rev = None  # the reversed circuit, built when a backward pass first runs
     mapping = m0
     best: QlsSolution | None = None
@@ -708,6 +706,9 @@ def forward_backward(circuit: Circuit, graph: CouplingGraph, m0: Mapping) -> Qls
         mapping = sol.block_mappings[-1]
         forward = not forward
     assert best is not None
+    report = verify(circuit, graph, best)
+    if not report.ok:  # internal bug guard; solutions must always verify
+        raise AssertionError(f"router produced invalid solution: {report.first_failure()}")
     return replace(best, depth=asap_depth(circuit, best))
 
 
@@ -907,7 +908,8 @@ def srefine_run(
     rng: random.Random | None = None,
 ) -> QlsSolution:
     """Synthesize with several independently-seeded candidate pipelines and
-    keep the best verified solution.
+    keep the best solution; each candidate's comes from ``forward_backward``,
+    which verified it.
 
     Standalone mode (no regions) seeds candidates from the constraint-growing
     mapper (small circuits) or random placements; refinement mode seeds from

@@ -7,6 +7,13 @@ The checker tests the four validity constraints: per-block injectivity, gate
 dependency order, two-qubit adjacency, and SWAP/mapping consistency. The
 solvers build their own solutions; this module only checks, schedules and
 serializes them.
+
+The checker reads gate order off the circuit itself: each gate must run in
+no earlier block than the previous gate on each of its qubits. It builds no
+``DependencyDag``, so a fault in the DAG that the solvers route with cannot
+hide from it. Each solver checks the answer it hands out, once: the
+forward/backward router its kept pass, and the exact solver its warm start
+and its result.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .model import Circuit, CouplingGraph, Mapping, _json_field, _json_ints, build_dag
+from .model import Circuit, CouplingGraph, Mapping, _json_field, _json_ints
 
 
 class SwapOp(NamedTuple):
@@ -132,15 +139,30 @@ def _check_injectivity(circuit: Circuit, sol: QlsSolution) -> ConstraintCheck:
     return _PASS
 
 
+def _previous_gates(circuit: Circuit) -> list[tuple[int, ...]]:
+    """For each gate, the previous gate on each of its qubits, once each: the
+    gates it must not run before. Read off the circuit, not off a
+    ``DependencyDag``; a commutable circuit's gates may run in any order, so
+    theirs are empty."""
+    prev: list[tuple[int, ...]] = [()] * len(circuit.gates)
+    if not circuit.commutable:
+        last: dict[int, int] = {}  # qubit -> the last gate on it so far
+        for g in circuit.gates:
+            prev[g.id] = tuple(dict.fromkeys(last[q] for q in g.qubits if q in last))
+            for q in g.qubits:
+                last[q] = g.id
+    return prev
+
+
 def _check_dependency(circuit: Circuit, sol: QlsSolution) -> ConstraintCheck:
-    dag = build_dag(circuit)
-    for gid in range(len(circuit.gates)):
-        for succ in dag.succs[gid]:
-            if sol.gate_block[gid] > sol.gate_block[succ]:
+    gate_block = sol.gate_block
+    for gid, prevs in enumerate(_previous_gates(circuit)):
+        for p in prevs:
+            if gate_block[p] > gate_block[gid]:
                 return ConstraintCheck(
                     False,
-                    f"gate {gid} (block {sol.gate_block[gid]}) must precede "
-                    f"gate {succ} (block {sol.gate_block[succ]})",
+                    f"gate {p} (block {gate_block[p]}) must precede "
+                    f"gate {gid} (block {gate_block[gid]})",
                 )
     return _PASS
 
@@ -189,16 +211,12 @@ def _overlapping_gaps(sol: QlsSolution) -> tuple[int, ...]:
     return tuple(flagged)
 
 
-def asap_depth(circuit: Circuit, sol: QlsSolution, graph: CouplingGraph | None = None) -> int:
+def asap_depth(circuit: Circuit, sol: QlsSolution) -> int:
     """Cycle count under as-soon-as-possible scheduling, every gate one cycle.
 
-    SWAPs occupy their physical qubits for a cycle between blocks. Requires a
-    verified solution when ``graph`` is given; raises ValueError otherwise.
+    SWAPs occupy their physical qubits for a cycle between blocks. The
+    solution must be valid: check it with ``verify`` first.
     """
-    if graph is not None:
-        report = verify(circuit, graph, sol)
-        if not report.ok:
-            raise ValueError(f"cannot schedule an invalid solution: {report.first_failure()}")
     highest = max(
         (max(m.assignment, default=-1) for m in sol.block_mappings), default=-1
     )

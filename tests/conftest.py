@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import deque
@@ -5,8 +6,9 @@ from dataclasses import dataclass
 
 import pytest
 
-from mlqls import Circuit, CouplingGraph, Mapping, make_device
-from mlqls.model import build_dag, uncommon_qubits
+from mlqls import Circuit, CouplingGraph, Gate, Mapping, make_device
+from mlqls.exact import _ORACLE_MAX_GATES, _ORACLE_MAX_PHYSICAL, OracleLimitError
+from mlqls.model import DependencyDag, build_dag, uncommon_qubits
 from mlqls.srefine import (
     _ALPHA,
     _BETA,
@@ -22,7 +24,7 @@ from mlqls.srefine import (
     _extend_partial,
     _terms_cost,
 )
-from mlqls.verify import QlsSolution, SwapOp
+from mlqls.verify import ConstraintCheck, QlsSolution, SwapOp
 
 
 @pytest.fixture(scope="session")
@@ -84,6 +86,16 @@ def random_connected_graph(rng: random.Random, n: int, extra: int):
     return edges
 
 
+def random_gates(rng: random.Random, nq: int, count: int) -> tuple[Gate, ...]:
+    """``count`` random gates on ``nq`` qubits, one in five single-qubit."""
+    return tuple(
+        Gate(i, (rng.randrange(nq),), "h")
+        if rng.random() < 0.2
+        else Gate(i, tuple(rng.sample(range(nq), 2)))
+        for i in range(count)
+    )
+
+
 def indegrees(dag) -> list[int]:
     """Each gate's count of predecessors, from ``dag.succs`` alone."""
     indeg = [0] * len(dag.succs)
@@ -118,6 +130,112 @@ def longest_chain(dag) -> int:
         for s in succs:
             depth[s] = max(depth[s], depth[gid] + 1)
     return max(depth, default=0)
+
+
+def drop_dag_edges(monkeypatch, into) -> list:
+    """Plant a fault in every ``DependencyDag`` built from now on: the edges
+    into each gate ``g`` with ``into(g)`` are dropped. Returns the circuits
+    the DAGs are built for, one per build."""
+    builds = []
+    real = DependencyDag.__init__
+
+    def faulty(self, circuit):
+        builds.append(circuit)
+        real(self, circuit)
+        self.succs = tuple(tuple(s for s in succs if not into(s)) for succs in self.succs)
+        self.pred_masks = tuple(0 if into(g) else m for g, m in enumerate(self.pred_masks))
+
+    monkeypatch.setattr(DependencyDag, "__init__", faulty)
+    return builds
+
+
+def reference_check_dependency(circuit: Circuit, sol: QlsSolution) -> ConstraintCheck:
+    """The verifier's dependency check as first written: every edge of
+    ``build_dag(circuit)`` must run from a block to the same or a later one.
+    The reference for reading gate order off the circuit."""
+    dag = build_dag(circuit)
+    for gid in range(len(circuit.gates)):
+        for succ in dag.succs[gid]:
+            if sol.gate_block[gid] > sol.gate_block[succ]:
+                return ConstraintCheck(
+                    False,
+                    f"gate {gid} (block {sol.gate_block[gid]}) must precede "
+                    f"gate {succ} (block {sol.gate_block[succ]})",
+                )
+    return ConstraintCheck(True)
+
+
+def reference_optimal_oracle(circuit: Circuit, graph: CouplingGraph, max_swaps: int) -> int | None:
+    """``exact.optimal_oracle`` as first written, with gate order taken from
+    ``build_dag(circuit).succs`` and in-degree counters: the reference for
+    the oracle that reads gate order off the circuit."""
+    if graph.num_physical > _ORACLE_MAX_PHYSICAL:
+        raise OracleLimitError("oracle limited to 6 physical qubits")
+    if len(circuit.gates) > _ORACLE_MAX_GATES:
+        raise OracleLimitError("oracle limited to 10 gates")
+    if circuit.num_qubits > graph.num_physical:
+        raise ValueError("more program qubits than physical qubits")
+    dag = build_dag(circuit)
+    dist = graph.dist
+    gates = circuit.gates
+    base_indeg = [0] * len(gates)  # counted from succs, not from pred_masks
+    for succs in dag.succs:
+        for succ in succs:
+            base_indeg[succ] += 1
+    all_mask = (1 << len(gates)) - 1
+
+    def closed(assignment: tuple[int, ...], mask: int) -> int:
+        indeg = list(base_indeg)
+        for gid in range(len(gates)):
+            if mask & (1 << gid):
+                for s in dag.succs[gid]:
+                    indeg[s] -= 1
+        progress = True
+        while progress:
+            progress = False
+            for g in gates:
+                if mask & (1 << g.id) or indeg[g.id] != 0:
+                    continue
+                if g.is_two_qubit:
+                    pa, pb = assignment[g.qubits[0]], assignment[g.qubits[1]]
+                    if dist[pa][pb] != 1:
+                        continue
+                mask |= 1 << g.id
+                for s in dag.succs[g.id]:
+                    indeg[s] -= 1
+                progress = True
+        return mask
+
+    frontier: set[tuple[tuple[int, ...], int]] = set()
+    for perm in itertools.permutations(range(graph.num_physical), circuit.num_qubits):
+        mask = closed(perm, 0)
+        if mask == all_mask:
+            return 0
+        frontier.add((perm, mask))
+    visited = set(frontier)
+    edges = graph.sorted_edges()
+    for level in range(1, max_swaps + 1):
+        nxt: set[tuple[tuple[int, ...], int]] = set()
+        for assignment, mask in frontier:
+            for a, b in edges:
+                new = list(assignment)
+                for q, p in enumerate(new):
+                    if p == a:
+                        new[q] = b
+                    elif p == b:
+                        new[q] = a
+                new_t = tuple(new)
+                new_mask = closed(new_t, mask)
+                if new_mask == all_mask:
+                    return level
+                state = (new_t, new_mask)
+                if state not in visited:
+                    visited.add(state)
+                    nxt.add(state)
+        if not nxt:
+            return None
+        frontier = nxt
+    return None
 
 
 class ReferenceSolutionBuilder:

@@ -93,6 +93,20 @@ def test_exact_bundle_reports_nodes(tmp_path):
     assert meta["proven_optimal"] and meta["nodes"] > 0
 
 
+def test_vcycle_bundle_reports_stages(tmp_path):
+    # QAOA-8 on grid:3 needs SWAPs, so the V cycle runs after stage one
+    out = tmp_path / "sol.json"
+    argv = ["compile", "--device", "grid:3", "--gen", "qaoa:n=8", "--mode", "vcycle"]
+    assert main([*argv, "--budget-scale", "0.001", "--out", str(out)]) == 0
+    meta = json.loads(out.read_text())["meta"]
+    stats = meta["stats"]
+    assert [s["stage"] for s in stats] == ["srefine", "vcycle1"]
+    assert stats[0]["swaps"] == meta["initial_swaps"] > 0
+    assert meta["swaps"] == min(s["swaps"] for s in stats)
+    assert all(s["seconds"] >= 0 for s in stats)
+    assert "levels" not in meta  # only with --dump-levels
+
+
 def test_compile_qasm_file(tmp_path):
     qasm = tmp_path / "c.qasm"
     qasm.write_text("OPENQASM 2.0;\nqreg q[3];\nh q[0];\ncx q[0],q[1];\ncx q[1],q[2];\n")
@@ -216,17 +230,6 @@ def test_dump_levels_embeds_hierarchy(tmp_path):
     assert bundle["meta"]["levels"]["levels"][0]["qubits"] == 8
 
 
-def test_bench_parallel_workers(tmp_path, monkeypatch):
-    monkeypatch.setenv("MLQLS_THREADS", "2")
-    out = tmp_path / "p.csv"
-    rc = cmd_bench(
-        "chain", devices=[], depths=[], sizes=[4, 5], seeds=1,
-        modes=["srefine"], out=str(out), budget_scale=0.001,
-    )
-    assert rc == 0
-    assert len(out.read_text().strip().splitlines()) == 3
-
-
 def test_bench_exact_uses_budget_scale(tmp_path, monkeypatch):
     import mlqls.cli as cli
 
@@ -238,7 +241,6 @@ def test_bench_exact_uses_budget_scale(tmp_path, monkeypatch):
         return real(circuit, device, cfg, **kwargs)
 
     monkeypatch.setattr(cli, "solve_exact", spy)
-    monkeypatch.delenv("MLQLS_THREADS", raising=False)
     scale = 0.002
     cmd_bench(
         "chain", devices=["path:4"], depths=[], sizes=[4], seeds=1,
@@ -301,7 +303,6 @@ def test_bench_rejects_bad_modes_before_any_job(capsys, monkeypatch, modes):
 
     calls = []
     monkeypatch.setattr(cli, "_solve", lambda *args: calls.append(args))
-    monkeypatch.delenv("MLQLS_THREADS", raising=False)
     rc = main(["bench", "--suite", "chain", "--sizes", "4", "--modes", modes])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -313,7 +314,6 @@ def test_bench_rejects_bad_modes_before_any_job(capsys, monkeypatch, modes):
 def test_budget_scale_checked(capsys, monkeypatch, mode, scale):
     import mlqls.cli as cli
 
-    monkeypatch.delenv("MLQLS_THREADS", raising=False)
     argvs = [
         ["compile", "--device", "path:4", "--gen", "chain:n=4", "--mode", mode],
         ["bench", "--suite", "chain", "--sizes", "4", "--seeds", "1", "--modes", mode],
@@ -344,7 +344,6 @@ def test_bench_without_instances_exits_2(capsys, monkeypatch, case):
 
     calls = []
     monkeypatch.setattr(cli, "_solve", lambda *args: calls.append(args))
-    monkeypatch.delenv("MLQLS_THREADS", raising=False)
     if case == "queko_without_devices":  # the command line defaults to grid:4
         with pytest.raises(ValueError, match="no instances"):
             cmd_bench("queko", devices=[], depths=[5], sizes=[], seeds=1, modes=["srefine"])

@@ -2,7 +2,14 @@ import random
 import tracemalloc
 
 import pytest
-from conftest import random_connected_graph, reference_closure, reference_state_key
+from conftest import (
+    drop_dag_edges,
+    random_connected_graph,
+    random_gates,
+    reference_closure,
+    reference_optimal_oracle,
+    reference_state_key,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -293,3 +300,32 @@ def test_closure_matches_reference(instance):
             search.search(max_blocks=blocks, swap_cap=len(c.gates), node_limit=3000)
     except _Deadline:
         pass
+
+
+def test_oracle_ignores_dag_faults(path5, monkeypatch):
+    # the oracle reads gate order off the circuit, so a DAG without edges
+    # changes none of its answers
+    rng = random.Random(0)
+    circuits = [random_instance(rng, 5, 8) for _ in range(30)]
+    expected = [optimal_oracle(c, path5, 10) for c in circuits]
+    drop_dag_edges(monkeypatch, lambda g: True)
+    assert [optimal_oracle(c, path5, 10) for c in circuits] == expected
+
+
+@st.composite
+def oracle_instances(draw):
+    """A random tree of 3 to 5 nodes with at most one chord, and 6 to 10
+    gates on all of its nodes or all but one, about a fifth of them
+    single-qubit gates. 65 of the 150 examples below need SWAPs."""
+    n = draw(st.integers(3, 5))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    graph = CouplingGraph.build(n, sorted(random_connected_graph(rng, n, draw(st.integers(0, 1)))))
+    nq = draw(st.integers(n - 1, n))
+    return graph, Circuit(nq, random_gates(rng, nq, draw(st.integers(6, 10))), draw(st.booleans()))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(oracle_instances())
+def test_oracle_matches_dag_reference(instance):
+    graph, c = instance
+    assert optimal_oracle(c, graph, 3) == reference_optimal_oracle(c, graph, 3)

@@ -99,13 +99,6 @@ class TestRunMlqls:
         with pytest.raises(ValueError):
             run_mlqls(Circuit.from_pairs(5, [(0, 1)]), path4, fast_cfg())
 
-    def test_stats_and_json(self, grid4):
-        c, _ = gen_queko(grid4, 4, 0.5, seed=2)
-        r = run_mlqls(c, grid4, fast_cfg())
-        data = r.to_json()
-        assert data["stats"][0]["stage"] == "srefine"
-        assert "levels" in data
-
 
 @st.composite
 def oracle_sized_flows(draw):

@@ -200,7 +200,7 @@ class TestGenQueko:
         for depth in (1, 5, 12):
             c, wit = gen_queko(grid4, depth, 0.5, seed=depth + 7)
             sol = QlsSolution((wit,), tuple(0 for _ in c.gates), ())
-            assert asap_depth(c, sol, grid4) == depth
+            assert verify(c, grid4, sol).ok and asap_depth(c, sol) == depth
 
     def test_depth_one_is_disjoint_layer(self, grid4):
         c, _ = gen_queko(grid4, 1, 0.5, seed=0)

@@ -59,3 +59,10 @@ def test_benchmark_smoke_run_is_correct(workload):
     assert metrics["srefine.route.calls"] > 0
     if workload in _ROUTES_WITH_SWAPS:
         assert metrics["srefine.route.swaps"] > 0
+    # Each answer is checked once where a solver hands it out: once per
+    # forward/backward call, and by the exact solver at the end and, in the
+    # flow, on its warm start.
+    k = 1 if workload == "exact-small" else 2
+    assert metrics["verify.check.calls"] == pytest.approx(
+        metrics["srefine.passes.calls"] + k * metrics["exact.solve.calls"]
+    )

@@ -1,12 +1,15 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from conftest import (
     AStarState,
     ReferenceSolutionBuilder,
+    drop_dag_edges,
     heuristic_h,
     random_connected_graph,
+    random_gates,
     reference_child,
     reference_closure,
     reference_embed,
@@ -323,6 +326,15 @@ class TestForwardBackward:
         assert len(routes) == 1
 
     @staticmethod
+    def seeded_instance(seed):
+        """Seven qubits, twelve gates and a start on grid:3. Seed 2 runs four
+        passes (forward, backward, forward, backward); seed 0 runs three, of
+        6, 2 and 2 SWAPs, so the kept pass runs backward."""
+        rng = random.Random(seed)
+        c = Circuit.from_pairs(7, [tuple(rng.sample(range(7), 2)) for _ in range(12)])
+        return c, Mapping(tuple(rng.sample(range(9), 7)))
+
+    @staticmethod
     def count_reversals(monkeypatch):
         """Record the circuit of each ``Circuit.reversed`` call."""
         calls = []
@@ -339,24 +351,49 @@ class TestForwardBackward:
     def test_backward_passes_share_one_reversed_circuit(self, grid3, monkeypatch):
         reversals = self.count_reversals(monkeypatch)
         routes = spy(monkeypatch, "astar_insert")
-        rng = random.Random(2)
-        c = Circuit.from_pairs(7, [tuple(rng.sample(range(7), 2)) for _ in range(12)])
-        m0 = Mapping(tuple(rng.sample(range(9), 7)))
+        c, m0 = self.seeded_instance(2)
         forward_backward(c, grid3, m0)
         assert len(routes) == 4  # forward, backward, forward, backward
         assert len(reversals) == 1 and reversals[0] is c
 
     def test_depth_is_scheduled_once(self, grid3, monkeypatch):
-        # the instance above: four passes, and only the kept one is scheduled
+        # four passes, and only the kept one is scheduled
         routes = spy(monkeypatch, "astar_insert")
         depths = spy(monkeypatch, "asap_depth")
-        rng = random.Random(2)
-        c = Circuit.from_pairs(7, [tuple(rng.sample(range(7), 2)) for _ in range(12)])
-        m0 = Mapping(tuple(rng.sample(range(9), 7)))
+        c, m0 = self.seeded_instance(2)
         sol = forward_backward(c, grid3, m0)
         assert len(routes) == 4
         assert len(depths) == 1 and depths[0][0] is c
-        assert sol.depth == asap_depth(c, sol, grid3)
+        assert verify(c, grid3, sol).ok
+        assert sol.depth == asap_depth(c, sol)
+
+    def test_checks_the_kept_pass_once(self, grid3, monkeypatch):
+        # only the kept pass is verified, and the check builds no DAG
+        routes = spy(monkeypatch, "astar_insert")
+        checks = spy(monkeypatch, "verify")
+        c, m0 = self.seeded_instance(2)
+        sol = forward_backward(c, grid3, m0)
+        assert len(routes) == 4
+        assert len(checks) == 1
+        assert checks[0][0] is c and replace(checks[0][2], depth=sol.depth) == sol
+        builds = drop_dag_edges(monkeypatch, lambda g: False)
+        assert verify(c, grid3, sol).ok and builds == []
+
+    def test_checks_the_pass_as_returned(self, grid3, monkeypatch):
+        # a fault in re-orienting the kept backward pass is caught
+        routes = spy(monkeypatch, "astar_insert")
+        c, m0 = self.seeded_instance(0)
+        forward_backward(c, grid3, m0)
+        assert [swap_count(astar_insert(*args)) for args in routes] == [6, 2, 2]
+        real = srefine.reverse_solution
+
+        def drop_first_swap(sol):
+            turned = real(sol)
+            return replace(turned, swaps=turned.swaps[1:])
+
+        monkeypatch.setattr(srefine, "reverse_solution", drop_first_swap)
+        with pytest.raises(AssertionError, match="swap_consistency"):
+            forward_backward(c, grid3, m0)
 
     def test_reverse_solution_is_valid_for_original(self, grid3):
         rng = random.Random(31)
@@ -439,6 +476,16 @@ class TestSrefineRun:
             cfg = SrefineConfig(candidates=2, mapper_first_budget=0.5, mapper_next_budget=0.2)
             sol = srefine_run(c, grid3, None, cfg, random.Random(seed))
             assert verify(c, grid3, sol).ok
+
+    def test_planted_dag_fault_is_caught(self, grid3, monkeypatch):
+        # the router follows a DAG missing the edges into odd gates and may
+        # run gates out of order; the check reads order off the circuit
+        rng = random.Random(3)
+        c = Circuit.from_pairs(9, [tuple(rng.sample(range(9), 2)) for _ in range(25)])
+        cfg = SrefineConfig(candidates=2, mapper_first_budget=0.1, mapper_next_budget=0.05)
+        drop_dag_edges(monkeypatch, lambda g: g % 2 == 1)
+        with pytest.raises(AssertionError, match="dependency"):
+            srefine_run(c, grid3, None, cfg, random.Random(1))
 
     def test_refinement_with_witness_regions_not_worse(self, grid4):
         # regions derived from a known zero-SWAP solution should let the
@@ -623,18 +670,18 @@ def test_mapper_matches_eager_reference_when_budget_runs_out(grid4):
 
 @st.composite
 def routing_walks(draw):
-    """A random connected device of at most 7 nodes, a random commutable or
-    non-commutable circuit on it with some single-qubit gates, a start
-    mapping, and a seed for a walk over candidate SWAPs."""
-    n = draw(st.integers(2, 7))
+    """A random connected device of 3 to 7 nodes, a random commutable or
+    non-commutable circuit of 6 to 16 gates on 3 or more of them, about a
+    fifth single-qubit gates, a start mapping, and a seed for a walk over
+    candidate SWAPs. The gates and the start come from a seeded
+    ``random.Random``, not from minimal Hypothesis draws, so most walks need
+    SWAPs: 360 of the 400 in ``test_path_solution_matches_reference_builder``
+    end with more than one block."""
+    n = draw(st.integers(3, 7))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    graph = CouplingGraph.build(n, sorted(random_connected_graph(rng, n, draw(st.integers(0, n)))))
-    nq = draw(st.integers(2, n))
-    qubit = st.integers(0, nq - 1)
-    pair = st.lists(qubit, min_size=2, max_size=2, unique=True)
-    operands = draw(st.lists(st.one_of(pair, st.lists(qubit, min_size=1, max_size=1)), max_size=16))
-    gates = tuple(Gate(i, tuple(qs), "cx" if len(qs) == 2 else "h") for i, qs in enumerate(operands))
-    circuit = Circuit(nq, gates, draw(st.booleans()))
+    graph = CouplingGraph.build(n, sorted(random_connected_graph(rng, n, draw(st.integers(0, n // 2)))))
+    nq = draw(st.integers(3, n))
+    circuit = Circuit(nq, random_gates(rng, nq, draw(st.integers(6, 16))), draw(st.booleans()))
     start = Mapping(tuple(rng.sample(range(n), nq)))
     return graph, circuit, start, draw(st.integers(0, 2**32))
 
@@ -717,16 +764,6 @@ def test_expand_matches_reference(instance):
             forced = ctx.make_child(node, a, b)
             assert node_fields(forced) == node_fields(reference_child(ctx, node, a, b))
             node = forced
-
-
-def random_gates(rng, nq, count):
-    """``count`` random gates on ``nq`` qubits, one in five single-qubit."""
-    return tuple(
-        Gate(i, (rng.randrange(nq),), "h")
-        if rng.random() < 0.2
-        else Gate(i, tuple(rng.sample(range(nq), 2)))
-        for i in range(count)
-    )
 
 
 @pytest.mark.parametrize("commutable", [False, True])

@@ -2,9 +2,11 @@ import json
 import random
 
 import pytest
-from conftest import longest_chain
+from conftest import longest_chain, reference_check_dependency
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mlqls import Circuit, Mapping, build_dag, gen_queko
+from mlqls import Circuit, Gate, Mapping, build_dag, gen_queko, make_device
 from mlqls.verify import (
     QlsSolution,
     SwapOp,
@@ -87,29 +89,65 @@ class TestVerify:
         assert report.overlapping_gaps == (0,)
 
 
+def checked_depth(circuit, graph, sol):
+    """ASAP depth of a solution that must verify first."""
+    report = verify(circuit, graph, sol)
+    assert report.ok, report.first_failure()
+    return asap_depth(circuit, sol)
+
+
+@st.composite
+def schedules(draw):
+    """A random commutable or non-commutable circuit with some single-qubit
+    gates, and a four-block solution on a path with a random gate schedule:
+    ascending (so in order) or not, with one gate sometimes moved."""
+    nq = draw(st.integers(2, 6))
+    qubit = st.integers(0, nq - 1)
+    pair = st.lists(qubit, min_size=2, max_size=2, unique=True)
+    operands = draw(st.lists(st.one_of(pair, st.lists(qubit, min_size=1, max_size=1)), max_size=12))
+    gates = tuple(Gate(i, tuple(qs), "cx" if len(qs) == 2 else "h") for i, qs in enumerate(operands))
+    circuit = Circuit(nq, gates, draw(st.booleans()))
+    blocks = draw(st.lists(st.integers(0, 3), min_size=len(gates), max_size=len(gates)))
+    if draw(st.booleans()):
+        blocks.sort()
+    if gates and draw(st.booleans()):
+        blocks[draw(st.integers(0, len(gates) - 1))] = draw(st.integers(0, 3))
+    identity = Mapping(tuple(range(nq)))
+    return circuit, QlsSolution((identity,) * 4, tuple(blocks), ())
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(schedules())
+def test_dependency_check_matches_dag_reference(instance):
+    circuit, sol = instance
+    report = verify(circuit, make_device("path", circuit.num_qubits), sol)
+    assert report.structure.ok
+    assert report.dependency.ok == reference_check_dependency(circuit, sol).ok
+
+
 class TestAsapDepth:
     def test_serial_chain(self, path4):
         k = 6
         gates = [(0, 1)] * k
         c = Circuit.from_pairs(2, gates)
         sol = QlsSolution((Mapping((0, 1)),), tuple(0 for _ in range(k)), ())
-        assert asap_depth(c, sol, path4) == k
+        assert checked_depth(c, path4, sol) == k
 
     def test_two_disjoint_gates_parallel(self, path4):
         c = Circuit.from_pairs(4, [(0, 1), (2, 3)])
         sol = QlsSolution((Mapping((0, 1, 2, 3)),), (0, 0), ())
-        assert asap_depth(c, sol, path4) == 1
+        assert checked_depth(c, path4, sol) == 1
 
     def test_queko_witness_hits_target_depth(self, grid4):
         c, wit = gen_queko(grid4, 7, 0.5, seed=2)
         sol = QlsSolution((wit,), tuple(0 for _ in c.gates), ())
-        assert asap_depth(c, sol, grid4) == 7
+        assert checked_depth(c, grid4, sol) == 7
 
     def test_invalid_solution_rejected(self, tshape5):
+        # asap_depth does not check; scheduling callers verify first
         c = Circuit.from_pairs(2, [(0, 1)])
         sol = QlsSolution((Mapping((0, 2)),), (0,), ())
-        with pytest.raises(ValueError, match="invalid"):
-            asap_depth(c, sol, tshape5)
+        assert not verify(c, tshape5, sol).ok
 
     def test_depth_at_least_longest_chain(self, grid4):
         rng = random.Random(3)
@@ -117,12 +155,12 @@ class TestAsapDepth:
             pairs = [tuple(rng.sample(range(6), 2)) for _ in range(8)]
             c = Circuit.from_pairs(6, pairs)
             sol = _route_identity(c, grid4)
-            assert asap_depth(c, sol, grid4) >= longest_chain(build_dag(c))
+            assert checked_depth(c, grid4, sol) >= longest_chain(build_dag(c))
 
     def test_swaps_occupy_cycles(self, two_block_solution):
         c, g, sol = two_block_solution
         # g0, g1 serialize on q1; then the swap; then g2
-        assert asap_depth(c, sol, g) == 4
+        assert checked_depth(c, g, sol) == 4
 
 
 def _route_identity(circuit, graph):
