@@ -56,7 +56,6 @@ class FlowConfig:
 class StageStat:
     stage: str
     swaps: int
-    depth: int | None
     seconds: float
 
 
@@ -79,7 +78,7 @@ def run_mlqls(circuit: Circuit, graph: CouplingGraph, cfg: FlowConfig | None = N
 
     t0 = time.monotonic()
     initial = srefine_run(circuit, graph, None, cfg.srefine, random.Random(rng.randrange(1 << 62)))
-    stats.append(StageStat("srefine", swap_count(initial), initial.depth, time.monotonic() - t0))
+    stats.append(StageStat("srefine", swap_count(initial), time.monotonic() - t0))
 
     if swap_count(initial) == 0:  # already optimal; nothing to refine
         hierarchy = LevelHierarchy([Level(circuit, graph, None, None)])
@@ -87,9 +86,7 @@ def run_mlqls(circuit: Circuit, graph: CouplingGraph, cfg: FlowConfig | None = N
     t0 = time.monotonic()
     hierarchy = _build_hierarchy(circuit, graph, initial.block_mappings[0])
     candidate = _solve_hierarchy(hierarchy, cfg, rng)
-    stats.append(
-        StageStat("vcycle1", swap_count(candidate), candidate.depth, time.monotonic() - t0)
-    )
+    stats.append(StageStat("vcycle1", swap_count(candidate), time.monotonic() - t0))
     best = candidate if _better(candidate, initial) else initial
     return FlowResult(initial, best, hierarchy, stats)
 

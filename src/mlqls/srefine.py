@@ -1,6 +1,12 @@
-"""Scalable heuristic layout synthesis: annealed initial mapping plus
-multi-SWAP lookahead routing, usable standalone or as the refinement step of
-the multilevel flow.
+"""Scalable heuristic layout synthesis: a constraint-growing initial mapper,
+annealed initial mapping and multi-SWAP lookahead routing, usable standalone
+or as the refinement step of the multilevel flow.
+
+The mapper adds the circuit's gate pairs one at a time, in random order, and
+keeps a pair when a backtracking embedding search (in the manner of VF2) can
+place it and every pair kept before it on couplers within a node budget. A
+start that puts every two-qubit gate on a coupler needs neither annealing nor
+a routing search.
 
 The annealing cost charges each two-qubit gate its mapped distance, decayed by
 circuit position, plus a related-qubit term pulling consecutively-interacting
@@ -561,10 +567,14 @@ def astar_insert(circuit: Circuit, graph: CouplingGraph, m0: Mapping) -> QlsSolu
     caller checks the pass it keeps. If frontier trimming strands the
     search, it continues from the best partial state with the cheapest SWAP
     forced, so progress never stalls. The answer is read off the final
-    state's parent chain. Draws no random numbers.
+    state's parent chain. A start that puts every two-qubit gate on a
+    coupler is answered as the root would be, with one block, without
+    setting up the search. Draws no random numbers.
     """
     if circuit.num_qubits > graph.num_physical:
         raise ValueError("more program qubits than physical qubits")
+    if _on_couplers(circuit, graph, m0):  # the root runs every gate
+        return QlsSolution((m0,), (0,) * len(circuit.gates), ())
     ctx = _RouteContext(circuit, graph)
     node = ctx.make_root(m0)
     forced_streak = 0
@@ -582,6 +592,16 @@ def astar_insert(circuit: Circuit, graph: CouplingGraph, m0: Mapping) -> QlsSolu
             node = _force_nearest_gate(ctx, node)
             forced_streak = 0
     return _path_solution(ctx, node)
+
+
+def _on_couplers(circuit: Circuit, graph: CouplingGraph, mapping: Mapping) -> bool:
+    """Whether ``mapping`` puts every two-qubit gate on a coupler (at
+    distance 1, the router's adjacency test); such a start routes with 0
+    SWAPs."""
+    dist, pos = graph.dist, mapping.assignment
+    return all(
+        len(g.qubits) != 2 or dist[pos[g.qubits[0]]][pos[g.qubits[1]]] == 1 for g in circuit.gates
+    )
 
 
 def _episode(ctx: _RouteContext, root: _Node):
@@ -717,10 +737,6 @@ def forward_backward(circuit: Circuit, graph: CouplingGraph, m0: Mapping) -> Qls
 # ---------------------------------------------------------------------------
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 def initial_mapper(
     circuit: Circuit,
     graph: CouplingGraph,
@@ -803,70 +819,78 @@ def _embed(
 ) -> dict[int, int] | None:
     """Backtracking search for an injective placement making every constrained
     pair adjacent (bit p' of ``nbr_masks[p]`` is set when p' neighbours
-    position p). Treats budget exhaustion as unsatisfiable."""
+    position p); returns the placement, in the order it was made, or None.
+
+    The search rule:
+    - pick: the unplaced qubit with the most placed partners, then the most
+      constraints, then the lowest index;
+    - candidates: the free positions adjacent to every placed partner (any
+      free position if none is placed), the hinted position first, then in
+      ascending order;
+    - each candidate tried costs one node of ``budget[0]``, which may be
+      ``math.inf``;
+    - once the budget reaches 0 the search stops and the constraints count
+      as unsatisfiable.
+
+    It runs as one loop over a stack of placements. A qubit's domain is the
+    AND of its placed partners' neighbour masks, so placing a qubit narrows
+    its partners' domains; each placement keeps a snapshot of the free
+    positions, domains and scores from before it, and backtracking restores
+    that snapshot.
+    """
     variables = sorted(constraints)
     if not variables:
         return {}
-    assign: dict[int, int] = {}
-    free = (1 << len(nbr_masks)) - 1  # positions not yet used
-    # An unplaced variable scores (placed partners) * V + (constraints), both
-    # below V; placing it subtracts V * V, so only unplaced ones score >= 0.
     size = len(variables)
+    index = {q: i for i, q in enumerate(variables)}
+    partners = [[index[r] for r in constraints[q]] for q in variables]
+    hints = [hint.get(q) for q in variables]
+    # An unplaced variable scores (placed partners) * V + (constraints), both
+    # below V; placing it subtracts V * V, so only unplaced ones score >= 0,
+    # and the first maximum is the pick.
+    score = [len(constraints[q]) for q in variables]
     placed_offset = size * size
-    score = [0] * (variables[-1] + 1)
-    for q in variables:
-        score[q] = len(constraints[q])
-
-    def pick() -> int | None:
-        """The unplaced variable with the most placed partners, then the most
-        constraints, then the lowest index (max keeps the first maximum)."""
-        q = max(variables, key=score.__getitem__)
-        return q if score[q] >= 0 else None
-
-    def candidates(q: int) -> Iterator[int]:
-        """Free positions adjacent to every placed partner of q (any free
-        position if none is placed), hint first, then in ascending order."""
-        cands = free
-        for r in constraints[q]:
-            p = assign.get(r)
-            if p is not None:
-                cands &= nbr_masks[p]
-        hinted = hint.get(q)
+    free = (1 << len(nbr_masks)) - 1  # positions not yet used
+    dom = [free] * size
+    # One entry per placement: (variable, position, untried candidates, and
+    # free, dom and score as they were before it).
+    stack: list[tuple[int, int, int, int, list[int], list[int]]] = []
+    left = budget[0]
+    i = score.index(max(score))
+    while True:
+        cands = dom[i] & free
+        hinted = hints[i]
         if hinted is not None and cands >> hinted & 1:
-            yield hinted
             cands ^= 1 << hinted
-        while cands:
+            p = hinted
+        else:
             low = cands & -cands
-            yield low.bit_length() - 1
             cands ^= low
-
-    def bt() -> bool:
-        nonlocal free
-        q = pick()
-        if q is None:
-            return True
-        for p in candidates(q):
-            budget[0] -= 1
-            if budget[0] <= 0:
-                raise _BudgetExhausted
-            assign[q] = p
-            free ^= 1 << p
-            score[q] -= placed_offset
-            for r in constraints[q]:
-                score[r] += size
-            if bt():
-                return True
-            del assign[q]
-            free ^= 1 << p
-            score[q] += placed_offset
-            for r in constraints[q]:
-                score[r] -= size
-        return False
-
-    try:
-        return dict(assign) if bt() else None
-    except _BudgetExhausted:
-        return None
+            p = low.bit_length() - 1  # -1 when there is none
+        while p < 0:  # take back the last placement and try its next candidate
+            if not stack:
+                budget[0] = left
+                return None
+            i, _, cands, free, dom, score = stack.pop()
+            low = cands & -cands
+            cands ^= low
+            p = low.bit_length() - 1
+        left -= 1
+        if left <= 0:
+            budget[0] = left
+            return None
+        stack.append((i, p, cands, free, dom[:], score[:]))
+        free ^= 1 << p
+        score[i] -= placed_offset
+        mask = nbr_masks[p]
+        for j in partners[i]:
+            dom[j] &= mask
+            score[j] += size
+        best = max(score)
+        if best < 0:
+            budget[0] = left
+            return {variables[j]: q for j, q, *_ in stack}
+        i = score.index(best)
 
 
 def _extend_partial(partial: dict[int, int], num_qubits: int, graph: CouplingGraph) -> Mapping:
@@ -928,7 +952,6 @@ def srefine_run(
     best_n = None
     # Region matching draws no random numbers, so every candidate shares it.
     matched = initial_matching(regions, graph) if regions is not None else None
-    pairs = [g.qubits for g in circuit.gates if g.is_two_qubit]
     for i in range(cfgs.candidates):
         crng = random.Random(rng.randrange(1 << 62))
         if regions is None:
@@ -942,7 +965,7 @@ def srefine_run(
             start = matched
         # A start with every two-qubit gate on a coupler routes with 0 SWAPs,
         # which annealing cannot beat.
-        if not all(graph.has_edge(start[a], start[b]) for a, b in pairs):
+        if not _on_couplers(circuit, graph, start):
             start = sa_initial_mapping(circuit, graph, start, regions, crng)
         sol = forward_backward(circuit, graph, start)
         n = swap_count(sol)

@@ -18,7 +18,6 @@ from mlqls.srefine import (
     _SA_FINAL_TEMP_RATIO,
     _SA_MOVES_PER_QUBIT_PAIR,
     _SA_PROBE_MOVES,
-    _BudgetExhausted,
     _cost_terms,
     _Node,
     _extend_partial,
@@ -458,6 +457,10 @@ def reference_sa_initial_mapping(circuit, graph, start, regions=None, rng=None):
                     best_pos = pos[:]
         temp *= cooling
     return Mapping(tuple(best_pos))
+
+
+class _BudgetExhausted(Exception):
+    pass
 
 
 def reference_embed(constraints, graph, hint, budget):

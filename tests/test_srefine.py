@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from dataclasses import replace
 
@@ -572,7 +573,7 @@ def check_embed(graph, constraints, hint, budget):
 def embed_instances(draw):
     """A random connected device of at most 7 nodes, random adjacency
     constraints among up to as many qubits, a random hint and a budget that
-    sometimes runs out."""
+    sometimes runs out and sometimes is unlimited."""
     n = draw(st.integers(2, 7))
     rng = random.Random(draw(st.integers(0, 2**32)))
     graph = CouplingGraph.build(n, sorted(random_connected_graph(rng, n, draw(st.integers(0, n)))))
@@ -583,7 +584,7 @@ def embed_instances(draw):
         constraints.setdefault(a, set()).add(b)
         constraints.setdefault(b, set()).add(a)
     hint = draw(st.dictionaries(st.integers(0, nq - 1), st.integers(0, n - 1)))
-    return graph, constraints, hint, draw(st.integers(1, 300))
+    return graph, constraints, hint, draw(st.integers(1, 300) | st.just(math.inf))
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
@@ -894,6 +895,43 @@ def test_path_solution_matches_reference_when_stranded(monkeypatch):
     answers = check_path_solutions(monkeypatch)
     astar_insert(STRANDED_CIRCUIT, make_device("path", 5), STRANDED_START)
     assert walks and len(answers) == 1
+
+
+@st.composite
+def swap_free_starts(draw):
+    """A random connected device of 2 to 7 nodes, a start of 2 or more
+    qubits on it, and a commutable or non-commutable circuit of up to 12
+    gates whose every two-qubit gate sits on a coupler under the start. A
+    share of the gates, from none to all, is single-qubit."""
+    n = draw(st.integers(2, 7))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    graph = CouplingGraph.build(n, sorted(random_connected_graph(rng, n, draw(st.integers(0, n)))))
+    nq = draw(st.integers(2, n))
+    start = Mapping(tuple(rng.sample(range(n), nq)))
+    pairs = [
+        (a, b)
+        for a, b in itertools.permutations(range(nq), 2)
+        if graph.has_edge(start[a], start[b])
+    ]
+    single = draw(st.sampled_from([0.0, 0.3, 1.0])) if pairs else 1.0
+    gates = tuple(
+        Gate(i, (rng.randrange(nq),), "h") if rng.random() < single else Gate(i, rng.choice(pairs))
+        for i in range(draw(st.integers(0, 12)))
+    )
+    return graph, Circuit(nq, gates, draw(st.booleans())), start
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(swap_free_starts())
+def test_swap_free_start_is_answered_without_search(instance):
+    # The answer the search would read off its root, with no DAG built.
+    graph, circuit, start = instance
+    with pytest.MonkeyPatch.context() as mp:
+        builds = drop_dag_edges(mp, lambda g: False)
+        sol = astar_insert(circuit, graph, start)
+        assert builds == []
+    ctx = _RouteContext(circuit, graph)
+    assert sol == _path_solution(ctx, ctx.make_root(start))
 
 
 @st.composite

@@ -9,7 +9,10 @@ for the ``run_seconds`` that ``BENCHMARK.json`` sets.
 The tree that goes first alternates from seed to seed, so a host that drifts
 in speed favours neither. It then prints, per end-to-end metric of
 ``BENCHMARK.json``, the median and quartiles over the seeds in each tree, the
-change of the median, and on how many seeds this checkout was better. It
+change of the median, and on how many seeds this checkout was better. Last
+it prints each tree's median number of rounds, from the runs' ``# summary``
+lines: perfbench keeps every round's outputs until it grades them, so a tree
+that fits more rounds into ``run_seconds`` reads a higher ``peak_rss_mb``. It
 exits 1 if a run fails, 2 on a usage error.
 """
 
@@ -26,15 +29,20 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict[str, float]:
-    """One untraced run in ``tree``; returns its metric values by name."""
+    """One untraced run in ``tree``; returns its metric values by name, and
+    its number of rounds as ``rounds``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         raise RuntimeError(f"{tree}: {' '.join(cmd[1:])} exited with {proc.returncode}")
-    metrics = json.loads(proc.stdout.strip().splitlines()[-1])["metrics"]
-    return {name: m["value"] for name, m in metrics.items()}
+    lines = proc.stdout.strip().splitlines()
+    metrics = json.loads(lines[-1])["metrics"]
+    values = {name: m["value"] for name, m in metrics.items()}
+    summary = next(line for line in lines if line.startswith("# summary "))
+    values["rounds"] = json.loads(summary.removeprefix("# summary "))["rounds"]
+    return values
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -90,6 +98,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{name:<16} {'/'.join(f'{v:.4g}' for v in qa):>30} "
               f"{'/'.join(f'{v:.4g}' for v in qb):>30} {change:>8} "
               f"{f'{wins}/{len(seeds)}':>6}")
+    rounds = {name: statistics.median(r["rounds"] for r in runs[name]) for name in trees}
+    print(f"median rounds: this {rounds['this']:g}  other {rounds['other']:g}")
     return 0
 
 
