@@ -10,11 +10,13 @@ a routing search.
 
 The annealing cost charges each two-qubit gate its mapped distance, decayed by
 circuit position, plus a related-qubit term pulling consecutively-interacting
-qubits together. Routing searches over SWAP sequences with a trimmed best-first
-frontier, scoring states by a four-term normalized lookahead heuristic; forward
-and backward passes then iterate while the SWAP count keeps improving. Each
-candidate SWAP is scored in one pass over the two moved qubits' gates, and the
-SWAP filter (some ready gate gets strictly closer) is part of that pass.
+qubits together. The annealer keeps each term's current value, so a move
+computes only the new values of the terms on its two qubits. Routing searches
+over SWAP sequences with a trimmed best-first frontier, scoring states by a
+four-term normalized lookahead heuristic; forward and backward passes then
+iterate while the SWAP count keeps improving. One loop scores each candidate
+SWAP in one pass over the two moved qubits' gates, applies the SWAP filter
+(some ready gate gets strictly closer) and builds the child.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import itertools
 import math
 import random
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 from .cluster import MappingRegion
@@ -115,96 +117,117 @@ def sa_initial_mapping(
 
     With regions, in-region targets are proposed with probability
     ``1 - _REGION_BIAS``. The initial temperature accepts the probe's mean
-    uphill move with probability 1/2.
+    uphill move with probability 1/2. Each index is drawn from
+    ``rng.getrandbits`` by the rule ``rng.randrange`` uses, so the draws are
+    the ones ``randrange`` would make; ValueError on zero qubits or an empty
+    region, where ``randrange`` would raise.
     """
     rng = rng or random.Random(0)
     n = circuit.num_qubits
     num_p = graph.num_physical
-    dist = graph.dist
-    terms = _cost_terms(circuit)
-    by_qubit: list[list[int]] = [[] for _ in range(n)]
-    for idx, (_, a, b) in enumerate(terms):
-        by_qubit[a].append(idx)
-        by_qubit[b].append(idx)
-    region_lists = None
+    if n == 0:
+        raise ValueError("annealing needs at least one qubit")
+    # Per qubit, its region's sorted cells, their count and its bit length.
+    region_draws = None
     if regions is not None:
         region_lists = [sorted(regions[q]) for q in range(n)]
+        if not all(region_lists):
+            raise ValueError("every region must be non-empty")
+        region_draws = [(cells, len(cells), len(cells).bit_length()) for cells in region_lists]
+    dist = graph.dist
+    # Term i charges weight[i] times the distance between qubits qa[i] and
+    # qb[i]; val[i] holds that product at the current positions.
+    terms = _cost_terms(circuit)
+    weight = [w for w, _, _ in terms]
+    qa = [a for _, a, _ in terms]
+    qb = [b for _, _, b in terms]
+    by_qubit: list[list[int]] = [[] for _ in range(n)]
+    for i, (_, a, b) in enumerate(terms):
+        by_qubit[a].append(i)
+        by_qubit[b].append(i)
 
-    pos = list(start.assignment)
+    # pos and the per-qubit rows of affected carry a spare last slot, which
+    # index -1 (no qubit at the target) reaches, so the moves below need no
+    # branch for it.
+    pos = [*start.assignment, -1]
     occ = [-1] * num_p
-    for q, p in enumerate(pos):
+    for q, p in enumerate(start.assignment):
         occ[p] = q
-    cur = _terms_cost(terms, pos, dist)
+    val = [w * dist[pos[a]][pos[b]] for w, a, b in terms]
+    val_at = val.__getitem__
+    cur = sum(val)
     best_cost = cur
-    best_pos = pos[:]
+    best_pos = pos[:n]
     iters = _SA_MOVES_PER_QUBIT_PAIR * n * n
+    # affected[q][r]: the ids of the terms on q or r, for a move of q onto
+    # r's position (r = -1 for a free one), filled on first use. Each tuple
+    # keeps the iteration order of the set it is built from, so the sums
+    # below add in the order the set-based scoring did.
+    affected: list[list[tuple[int, ...] | None]] = [[None] * (n + 1) for _ in range(n)]
 
-    def propose() -> tuple[int, int]:
-        q = rng.randrange(n)
-        if region_lists is not None and rng.random() >= _REGION_BIAS:
-            p = region_lists[q][rng.randrange(len(region_lists[q]))]
-        else:
-            p = rng.randrange(num_p)
-        return q, p
-
-    # The terms on q or r, per moved pair (q, r), with r = -1 for a free
-    # target. Each tuple keeps the iteration order of the set it is built
-    # from, so the sums below add in the order the set-based scoring did.
-    affected_terms: dict[tuple[int, int], tuple[tuple[float, int, int], ...]] = {}
-
-    def move_delta(q: int, p: int) -> tuple[float, int]:
-        r = occ[p]
-        affected = affected_terms.get((q, r))
-        if affected is None:
-            ids = set(by_qubit[q])
-            if r != -1:
-                ids.update(by_qubit[r])
-            affected = affected_terms[q, r] = tuple(terms[i] for i in ids)
-        old_p = pos[q]
-        before, after = [], []
-        for w, a, b in affected:
-            pa, pb = pos[a], pos[b]
-            before.append(w * dist[pa][pb])
-            if a == q:
-                pa = p
-            elif a == r:
-                pa = old_p
-            if b == q:
-                pb = p
-            elif b == r:
-                pb = old_p
-            after.append(w * dist[pa][pb])
-        # sum(), not +=, because sum() of floats is compensated from Python 3.12
-        return sum(after) - sum(before), r
+    def affected_terms(q: int, r: int) -> tuple[int, ...]:
+        ids = set(by_qubit[q])
+        if r != -1:
+            ids.update(by_qubit[r])
+        row = affected[q]
+        row[r] = tuple(ids)
+        return row[r]
 
     probe_rng = random.Random(rng.randrange(1 << 62))
     uphill = []
     for _ in range(_SA_PROBE_MOVES):
         q = probe_rng.randrange(n)
         p = probe_rng.randrange(num_p)
-        if p == pos[q]:
+        old_p = pos[q]
+        if p == old_p:
             continue
-        d, _ = move_delta(q, p)
+        r = occ[p]
+        ids = affected[q][r] or affected_terms(q, r)
+        pos[q], pos[r] = p, old_p
+        after = [weight[i] * dist[pos[qa[i]]][pos[qb[i]]] for i in ids]
+        pos[q], pos[r] = old_p, p
+        # sum(), not +=, because sum() of floats is compensated from Python 3.12
+        d = sum(after) - sum(map(val_at, ids))
         if d > 0:
             uphill.append(d)
     temp = (sum(uphill) / len(uphill)) / math.log(2) if uphill else 1.0
     cooling = _SA_FINAL_TEMP_RATIO ** (1.0 / max(iters, 1))
 
+    getrandbits, random_ = rng.getrandbits, rng.random
+    exp = math.exp
+    kn, kp = n.bit_length(), num_p.bit_length()
     for _ in range(iters):
-        q, p = propose()
-        if p != pos[q]:
-            delta, r = move_delta(q, p)
-            if delta <= 0 or rng.random() < math.exp(-delta / temp):
-                old_p = pos[q]
-                pos[q] = p
+        q = getrandbits(kn)
+        while q >= n:
+            q = getrandbits(kn)
+        if region_draws is not None and random_() >= _REGION_BIAS:
+            cells, size, k = region_draws[q]
+            j = getrandbits(k)
+            while j >= size:
+                j = getrandbits(k)
+            p = cells[j]
+        else:
+            p = getrandbits(kp)
+            while p >= num_p:
+                p = getrandbits(kp)
+        old_p = pos[q]
+        if p != old_p:
+            r = occ[p]
+            ids = affected[q][r] or affected_terms(q, r)
+            pos[q], pos[r] = p, old_p
+            after = [weight[i] * dist[pos[qa[i]]][pos[qb[i]]] for i in ids]
+            delta = sum(after) - sum(map(val_at, ids))
+            if delta <= 0 or random_() < exp(-delta / temp):
                 occ[p] = q
                 occ[old_p] = r
-                if r != -1:
-                    pos[r] = old_p
+                for i, v in zip(ids, after):
+                    val[i] = v
                 cur += delta
                 if cur < best_cost:
                     best_cost = cur
-                    best_pos = pos[:]
+                    best_pos = pos[:n]
+            else:
+                pos[q], pos[r] = old_p, p
         temp *= cooling
     return Mapping(tuple(best_pos))
 
@@ -424,21 +447,35 @@ class _RouteContext:
         h += _GAMMA * (self.mask2 & ~node.exec_mask).bit_count()
         return h
 
-    def _scores(
-        self, node: _Node, edges: Iterable[tuple[int, int]]
-    ) -> Iterator[tuple[tuple[int, int], bool, int, int, tuple[int, ...]]]:
-        """Score each swap of positions ``a < b`` in ``edges``, in order, in
-        one pass over the two moved qubits' gates, against the parent's
-        positions. Yields the edge, the SWAP filter (some ready gate gets
-        strictly closer), the changes of the ready and one-hop distance sums,
-        and the ready gates the swap makes adjacent, in the order the closure
-        runs them. ``expand`` and ``make_child`` both score through it.
+    def children(
+        self, node: _Node, edges: Iterable[tuple[int, int]], swap_filter: bool
+    ) -> list[_Node]:
+        """The states after swapping positions ``a < b`` for each ``(a, b)``
+        in ``edges``, in order. With ``swap_filter``, only swaps that move
+        some ready gate strictly closer give a child. ``expand`` (filter on)
+        and the forced-SWAP paths (filter off) share this one loop.
+
+        Each swap is scored in one pass over the two moved qubits' gates,
+        against the parent's positions: the changes of the ready and one-hop
+        distance sums, the filter, and the ready gates the swap makes
+        adjacent, in the order the closure runs them. A child that runs
+        gates gets its sets from ``_close``; one that runs none shares the
+        parent's sets, shifts its sums, and takes ``_node_h``'s estimate
+        from terms shared by all such children.
 
         A gate on both moved qubits keeps its distance, so it adds nothing
         and never passes the filter. It is never ready either: its qubits sit
         on a coupler, so the parent's closure would have run it."""
-        dist, pos, occ = self.dist, node.pos, node.occ
+        dist, pos, occ, code0 = self.dist, node.pos, node.occ, node.code
         ready, onehop, partners = node.ready, node.onehop, self.partners
+        related_by_qubit, pos_shift = self.related_by_qubit, self.pos_shift
+        exec_mask, g_cost = node.exec_mask, node.g_cost + 1
+        rsum0, osum0, psum0 = node.rsum, node.osum, node.psum
+        # _node_h's denominators and gate count for a child that runs no gate
+        ready_den = len(ready) * self.nq
+        onehop_den = len(onehop) * self.nq
+        unexecuted = _GAMMA * (self.mask2 & ~exec_mask).bit_count()
+        out = []
         for edge in edges:
             a, b = edge
             improves = False
@@ -460,68 +497,52 @@ class _RouteContext:
                     elif gid in onehop and other != r:
                         po = pos[other]
                         dosum += dist[new_p][po] - dist[old_p][po]
-            yield edge, improves, drsum, dosum, executable
-
-    def _child(
-        self,
-        node: _Node,
-        edge: tuple[int, int],
-        drsum: int,
-        dosum: int,
-        executable: tuple[int, ...],
-    ) -> _Node:
-        """The state after swapping the positions of ``edge``, from the
-        parent and the swap's score, for ``expand`` and ``make_child`` alike.
-        Only the gates on the two moved qubits change distance, so without
-        executable gates the child shares the parent's sets and shifts its
-        sums; otherwise ``_close`` runs from those gates."""
-        child = _Node()
-        a, b = edge
-        pos = node.pos
-        child.pos = cpos = pos.copy()
-        child.occ = occ = node.occ.copy()
-        qa, qb = occ[a], occ[b]
-        occ[a], occ[b] = qb, qa
-        code = node.code
-        if qa != -1:
-            cpos[qa] = b
-            code += (b - a) << self.pos_shift[qa]
-        if qb != -1:
-            cpos[qb] = a
-            code += (a - b) << self.pos_shift[qb]
-        child.code = code
-        child.parent = node
-        child.edge = edge
-        child.g_cost = node.g_cost + 1
-        child.exec_mask = node.exec_mask
-        if executable:
-            self._close(child, node.ready, node.onehop, node.rsum + drsum, executable)
-        else:
-            child.done_here = []
-            child.ready = node.ready
-            child.onehop = onehop = node.onehop
-            child.rsum = node.rsum + drsum
-            child.osum = node.osum + dosum
-            psum = node.psum
-            if onehop:
-                dist = self.dist
-                for q in (qa, qb):
-                    if q == -1:
-                        continue
-                    for gid, x, y in self.related_by_qubit[q]:
-                        if gid in onehop:
-                            psum += dist[cpos[x]][cpos[y]] - dist[pos[x]][pos[y]]
-            child.psum = psum
-        child.h = self._node_h(child)
-        return child
+            if swap_filter and not improves:
+                continue
+            child = _Node()
+            child.pos = cpos = pos.copy()
+            child.occ = cocc = occ.copy()
+            cocc[a], cocc[b] = qb, qa
+            code = code0
+            if qa != -1:
+                cpos[qa] = b
+                code += (b - a) << pos_shift[qa]
+            if qb != -1:
+                cpos[qb] = a
+                code += (a - b) << pos_shift[qb]
+            child.code = code
+            child.parent = node
+            child.edge = edge
+            child.g_cost = g_cost
+            child.exec_mask = exec_mask
+            if executable:
+                self._close(child, ready, onehop, rsum0 + drsum, executable)
+                child.h = self._node_h(child)
+            else:
+                child.done_here = []
+                child.ready = ready
+                child.onehop = onehop
+                child.rsum = rsum = rsum0 + drsum
+                child.osum = osum = osum0 + dosum
+                psum = psum0
+                h = rsum / ready_den if ready else 0.0
+                if onehop:
+                    for q in (qa, qb):
+                        if q == -1:
+                            continue
+                        for gid, x, y in related_by_qubit[q]:
+                            if gid in onehop:
+                                psum += dist[cpos[x]][cpos[y]] - dist[pos[x]][pos[y]]
+                    h += (_ALPHA * osum + _BETA * psum) / onehop_den
+                child.psum = psum
+                child.h = h + unexecuted
+            out.append(child)
+        return out
 
     def make_child(self, node: _Node, a: int, b: int) -> _Node:
         """The state after swapping positions ``a < b``, whether or not the
-        swap passes the SWAP filter: the forced-SWAP paths use it. The swap
-        is scored in the same one pass over the moved qubits' gates, and the
-        child built by the same code, as in ``expand``."""
-        ((edge, _, drsum, dosum, executable),) = self._scores(node, ((a, b),))
-        return self._child(node, edge, drsum, dosum, executable)
+        swap passes the SWAP filter: the forced-SWAP paths use it."""
+        return self.children(node, ((a, b),), False)[0]
 
     # -- expansion ----------------------------------------------------------
 
@@ -546,17 +567,9 @@ class _RouteContext:
         return sorted(edges)
 
     def expand(self, node: _Node) -> list[_Node]:
-        """The children of ``node`` over its candidate edges, in edge order.
-        Each candidate SWAP is scored in one pass over the moved qubits'
-        gates, and that pass also applies the SWAP filter: a child is built
-        only when the swap moves some ready gate strictly closer."""
-        return [
-            self._child(node, edge, drsum, dosum, executable)
-            for edge, improves, drsum, dosum, executable in self._scores(
-                node, self.candidate_edges(node)
-            )
-            if improves
-        ]
+        """The children of ``node`` over its candidate edges, in edge order,
+        for the swaps that pass the SWAP filter."""
+        return self.children(node, self.candidate_edges(node), True)
 
 
 def astar_insert(circuit: Circuit, graph: CouplingGraph, m0: Mapping) -> QlsSolution:
@@ -584,7 +597,7 @@ def astar_insert(circuit: Circuit, graph: CouplingGraph, m0: Mapping) -> QlsSolu
             node = goal
             break
         node = min(
-            (ctx.make_child(node, a, b) for a, b in ctx.candidate_edges(node)),
+            ctx.children(node, ctx.candidate_edges(node), False),
             key=lambda ch: (ch.h, ch.edge),
         )
         forced_streak = 0 if node.done_here else forced_streak + 1

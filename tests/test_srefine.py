@@ -43,7 +43,7 @@ from mlqls.srefine import (
     sa_initial_mapping,
     srefine_run,
 )
-from mlqls.verify import asap_depth, swap_count, verify
+from mlqls.verify import asap_depth, solution_to_json, swap_count, verify
 
 
 def spy(monkeypatch, name):
@@ -958,3 +958,90 @@ def test_annealing_matches_reference(instance):
     graph, circuit, start, regions, seed = instance
     expected = reference_sa_initial_mapping(circuit, graph, start, regions, random.Random(seed))
     assert sa_initial_mapping(circuit, graph, start, regions, random.Random(seed)) == expected
+
+
+LIBRARY_DEVICES = {
+    "grid:5": make_device("grid", 5),
+    "grid:12": make_device("grid", 12),
+    "eagle127": make_device("eagle127"),
+}
+# Region sizes per qubit: one cell, powers of two, odd sizes, or a mix.
+REGION_SIZES = {
+    "none": None,
+    "one": (1,),
+    "pow2": (2, 4, 8, 16),
+    "odd": (3, 5, 7, 9),
+    "mixed": (1, 2, 3, 6, 16, 25),
+}
+
+
+@pytest.mark.parametrize("regions_kind", REGION_SIZES)
+@pytest.mark.parametrize("commutable", [False, True])
+@pytest.mark.parametrize("device", LIBRARY_DEVICES)
+def test_annealing_matches_reference_on_library_devices(device, commutable, regions_kind):
+    # Library devices of 25, 144 and 127 positions, so every index draw
+    # redraws with its own odds, and regions whose sizes are 1, powers of
+    # two or odd.
+    graph = LIBRARY_DEVICES[device]
+    rng = random.Random(f"{device}:{commutable}:{regions_kind}")
+    for _ in range(3):
+        nq = rng.randint(2, 16)
+        circuit = Circuit(nq, random_gates(rng, nq, rng.randint(1, 24)), commutable)
+        start = Mapping(tuple(rng.sample(range(graph.num_physical), nq)))
+        regions = None
+        if REGION_SIZES[regions_kind] is not None:
+            regions = MappingRegion(tuple(
+                frozenset(rng.sample(range(graph.num_physical), rng.choice(REGION_SIZES[regions_kind])))
+                for _ in range(nq)
+            ))
+        seed = rng.randrange(2**32)
+        expected = reference_sa_initial_mapping(circuit, graph, start, regions, random.Random(seed))
+        assert sa_initial_mapping(circuit, graph, start, regions, random.Random(seed)) == expected
+
+
+@pytest.mark.parametrize(
+    "num_qubits, regions",
+    [(0, None), (2, (frozenset({0}), frozenset()))],
+    ids=["zero_qubits", "empty_region"],
+)
+def test_annealing_rejects_empty_ranges(path4, num_qubits, regions):
+    # Where randrange raises on an empty range, the annealer raises too,
+    # before it draws; a plain tuple reaches the check, since MappingRegion
+    # rejects an empty region itself.
+    circuit = Circuit.from_pairs(num_qubits, [(0, 1)] if num_qubits else [])
+    start = Mapping(tuple(range(num_qubits)))
+    with pytest.raises(ValueError):
+        reference_sa_initial_mapping(circuit, path4, start, regions, random.Random(0))
+    with pytest.raises(ValueError):
+        sa_initial_mapping(circuit, path4, start, regions, random.Random(0))
+
+
+@st.composite
+def oracle_sized_runs(draw):
+    """A random connected device of at most 6 nodes, a random circuit of at
+    most 10 gates on it (some single-qubit), random regions for some
+    instances, and a seed."""
+    n = draw(st.integers(3, 6))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    graph = CouplingGraph.build(n, sorted(random_connected_graph(rng, n, draw(st.integers(0, 2)))))
+    nq = draw(st.integers(2, n))
+    circuit = Circuit(nq, random_gates(rng, nq, draw(st.integers(1, 10))), draw(st.booleans()))
+    regions = None
+    if draw(st.booleans()):
+        regions = MappingRegion(
+            tuple(frozenset(rng.sample(range(n), rng.randint(1, n))) for _ in range(nq))
+        )
+    return graph, circuit, regions, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(oracle_sized_runs())
+def test_srefine_run_is_valid_bounded_and_reproducible(instance):
+    # Standalone sRefine, outside the flow's pick of the better stage.
+    graph, circuit, regions, seed = instance
+    sol = srefine_run(circuit, graph, regions, None, random.Random(seed))
+    assert verify(circuit, graph, sol).ok
+    assert optimal_oracle(circuit, graph, swap_count(sol)) is not None
+    assert sol.depth == asap_depth(circuit, sol)
+    again = srefine_run(circuit, graph, regions, None, random.Random(seed))
+    assert solution_to_json(again) == solution_to_json(sol)
