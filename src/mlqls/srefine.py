@@ -15,8 +15,9 @@ computes only the new values of the terms on its two qubits. Routing searches
 over SWAP sequences with a trimmed best-first frontier, scoring states by a
 four-term normalized lookahead heuristic; forward and backward passes then
 iterate while the SWAP count keeps improving. One loop scores each candidate
-SWAP in one pass over the two moved qubits' gates, applies the SWAP filter
-(some ready gate gets strictly closer) and builds the child.
+SWAP in one pass over the two moved qubits' ready and one-hop gates, read
+from a table built once per expansion, applies the SWAP filter (some ready
+gate gets strictly closer) and builds the child.
 """
 
 from __future__ import annotations
@@ -317,8 +318,12 @@ class _RouteContext:
         self.graph = graph
         self.dist = graph.dist
         self.neighbors = graph.neighbors
-        self.edges_at = [
-            tuple((min(p, nb), max(p, nb)) for nb in graph.neighbors[p])
+        # Edges are numbered in (low, high) order; edge_ids_at[p] holds the
+        # numbers of the edges at position p.
+        self.edges = graph.sorted_edges()
+        edge_id = {edge: i for i, edge in enumerate(self.edges)}
+        self.edge_ids_at = [
+            tuple(edge_id[min(p, nb), max(p, nb)] for nb in graph.neighbors[p])
             for p in range(graph.num_physical)
         ]
         self.nq = circuit.num_qubits
@@ -334,13 +339,6 @@ class _RouteContext:
         self.is2 = [g.is_two_qubit for g in circuit.gates]
         self.q2 = [g.qubits if g.is_two_qubit else None for g in circuit.gates]
         self.mask2 = sum(1 << g.id for g in circuit.gates if g.is_two_qubit)
-        # (gate, other qubit) for each two-qubit gate on a qubit
-        self.partners: list[list[tuple[int, int]]] = [[] for _ in range(self.nq)]
-        for g in circuit.gates:
-            if g.is_two_qubit:
-                a, b = g.qubits
-                self.partners[a].append((g.id, b))
-                self.partners[b].append((g.id, a))
         self.related_pairs = _related_pairs(circuit, dag)
         self.related_by_qubit: list[list[tuple[int, int, int]]] = [[] for _ in range(self.nq)]
         for gid, pairs in enumerate(self.related_pairs):
@@ -363,16 +361,16 @@ class _RouteContext:
         node.edge = None
         seeds = [gid for gid in range(self.num_gates) if not self.pred_masks[gid]]
         self._close(node, set(), set(), 0, seeds)
-        node.h = self._node_h(node)
         return node
 
     def _close(
         self, node: _Node, ready: set[int], onehop: set[int], rsum: int, seeds: Iterable[int]
     ) -> None:
         """Run every gate that can run, starting from ``seeds``, and derive
-        ``node``'s ready and one-hop sets and their sums. ``ready`` and
-        ``onehop`` are the sets before the closure, and ``rsum`` is the
-        distance sum of those ready gates at ``node``'s positions.
+        ``node``'s ready and one-hop sets, their sums and its estimate
+        ``h``. ``ready`` and ``onehop`` are the sets before the closure, and
+        ``rsum`` is the distance sum of those ready gates at ``node``'s
+        positions.
 
         A gate runs once ``exec_mask`` covers its predecessors and, for a
         two-qubit gate, its qubits are adjacent; its successors are queued
@@ -421,31 +419,28 @@ class _RouteContext:
             onehop = onehop.copy()
             for gid in left:
                 for c in children2[gid]:
-                    if not any(p in ready for p in parents2[c]):
+                    if ready.isdisjoint(parents2[c]):
                         onehop.discard(c)
             for gid in blocked:
                 onehop.update(children2[gid])
         node.onehop = onehop
+        related_pairs = self.related_pairs
         osum = psum = 0
         for gid in onehop:
             x, y = q2[gid]
             osum += dist[pos[x]][pos[y]]
-            for x, y in self.related_pairs[gid]:
+            for x, y in related_pairs[gid]:
                 psum += dist[pos[x]][pos[y]]
         node.osum = osum
         node.psum = psum
-
-    def _node_h(self, node: _Node) -> float:
-        """Four-term lookahead estimate: normalized ready-gate distance,
-        one-hop child distance, related-qubit distance, and the count of gates
-        not yet executed. Empty gate sets contribute zero."""
-        h = 0.0
-        if node.ready:
-            h += node.rsum / (len(node.ready) * self.nq)
-        if node.onehop:
-            h += (_ALPHA * node.osum + _BETA * node.psum) / (len(node.onehop) * self.nq)
-        h += _GAMMA * (self.mask2 & ~node.exec_mask).bit_count()
-        return h
+        # The four-term lookahead estimate: normalized ready-gate distance,
+        # one-hop child distance, related-qubit distance, and the count of
+        # gates not yet executed. Empty gate sets contribute zero.
+        nq = self.nq
+        h = rsum / (len(ready) * nq) if ready else 0.0
+        if onehop:
+            h += (_ALPHA * osum + _BETA * psum) / (len(onehop) * nq)
+        node.h = h + _GAMMA * (self.mask2 & ~exec_mask).bit_count()
 
     def children(
         self, node: _Node, edges: Iterable[tuple[int, int]], swap_filter: bool
@@ -455,48 +450,73 @@ class _RouteContext:
         some ready gate strictly closer give a child. ``expand`` (filter on)
         and the forced-SWAP paths (filter off) share this one loop.
 
-        Each swap is scored in one pass over the two moved qubits' gates,
-        against the parent's positions: the changes of the ready and one-hop
-        distance sums, the filter, and the ready gates the swap makes
-        adjacent, in the order the closure runs them. A child that runs
-        gates gets its sets from ``_close``; one that runs none shares the
-        parent's sets, shifts its sums, and takes ``_node_h``'s estimate
-        from terms shared by all such children.
+        Only ready and one-hop gates are scored, so one table per expansion
+        lists, per qubit, its ready and one-hop gates in gate order, each
+        with its other qubit and whether it is ready. Each swap is scored in
+        one pass over the two moved qubits' rows, against the parent's
+        positions: the changes of the ready and one-hop distance sums, the
+        filter, and the ready gates the swap makes adjacent, in the order
+        the closure runs them. A child that runs gates gets its sets and
+        estimate from ``_close``; one that runs none shares the parent's
+        sets, shifts its sums, and computes the same estimate from terms
+        shared by all such children.
 
         A gate on both moved qubits keeps its distance, so it adds nothing
         and never passes the filter. It is never ready either: its qubits sit
         on a coupler, so the parent's closure would have run it."""
         dist, pos, occ, code0 = self.dist, node.pos, node.occ, node.code
-        ready, onehop, partners = node.ready, node.onehop, self.partners
+        ready, onehop, q2 = node.ready, node.onehop, self.q2
         related_by_qubit, pos_shift = self.related_by_qubit, self.pos_shift
         exec_mask, g_cost = node.exec_mask, node.g_cost + 1
         rsum0, osum0, psum0 = node.rsum, node.osum, node.psum
-        # _node_h's denominators and gate count for a child that runs no gate
+        # the estimate's denominators and gate count for a child that runs no gate
         ready_den = len(ready) * self.nq
         onehop_den = len(onehop) * self.nq
         unexecuted = _GAMMA * (self.mask2 & ~exec_mask).bit_count()
+        # act[q]: (gate, other qubit, is ready) for q's ready and one-hop
+        # gates, which are disjoint sets; a qubit with none, or -1, is absent
+        act: dict[int, list[tuple[int, int, bool]]] = {}
+        for gid in sorted(ready | onehop):
+            x, y = q2[gid]
+            is_ready = gid in ready
+            if x in act:
+                act[x].append((gid, y, is_ready))
+            else:
+                act[x] = [(gid, y, is_ready)]
+            if y in act:
+                act[y].append((gid, x, is_ready))
+            else:
+                act[y] = [(gid, x, is_ready)]
         out = []
         for edge in edges:
             a, b = edge
+            da, db = dist[a], dist[b]
+            qa, qb = occ[a], occ[b]
             improves = False
             drsum = dosum = 0
             executable = ()
-            qa, qb = occ[a], occ[b]
-            for q, old_p, new_p, r in ((qa, a, b, qb), (qb, b, a, qa)):
-                if q == -1:
-                    continue
-                for gid, other in partners[q]:  # ready and onehop are disjoint
-                    if gid in ready:
-                        po = pos[other]
-                        d, d0 = dist[new_p][po], dist[old_p][po]
-                        drsum += d - d0
-                        if d < d0:
-                            improves = True
-                        if d == 1:
-                            executable += (gid,)
-                    elif gid in onehop and other != r:
-                        po = pos[other]
-                        dosum += dist[new_p][po] - dist[old_p][po]
+            for gid, other, is_ready in act.get(qa, ()):  # qa moves a -> b
+                po = pos[other]
+                if is_ready:
+                    d, d0 = db[po], da[po]
+                    drsum += d - d0
+                    if d < d0:
+                        improves = True
+                    if d == 1:
+                        executable += (gid,)
+                elif other != qb:
+                    dosum += db[po] - da[po]
+            for gid, other, is_ready in act.get(qb, ()):  # qb moves b -> a
+                po = pos[other]
+                if is_ready:
+                    d, d0 = da[po], db[po]
+                    drsum += d - d0
+                    if d < d0:
+                        improves = True
+                    if d == 1:
+                        executable += (gid,)
+                elif other != qa:
+                    dosum += da[po] - db[po]
             if swap_filter and not improves:
                 continue
             child = _Node()
@@ -517,7 +537,6 @@ class _RouteContext:
             child.exec_mask = exec_mask
             if executable:
                 self._close(child, ready, onehop, rsum0 + drsum, executable)
-                child.h = self._node_h(child)
             else:
                 child.done_here = []
                 child.ready = ready
@@ -549,22 +568,24 @@ class _RouteContext:
     def candidate_edges(self, node: _Node) -> list[tuple[int, int]]:
         """Edges ``(low, high)`` touching the target qubits of (the most
         urgent) ready gates, in ascending order."""
-        ready = node.ready
+        ready, pos, q2 = node.ready, node.pos, self.q2
         if len(ready) > _MAX_CANDIDATE_GATES:
             dist = self.dist
-            pos = node.pos
             chosen = heapq.nsmallest(
                 _MAX_CANDIDATE_GATES,
                 ready,
-                key=lambda gid: (dist[pos[self.q2[gid][0]]][pos[self.q2[gid][1]]], gid),
+                key=lambda gid: (dist[pos[q2[gid][0]]][pos[q2[gid][1]]], gid),
             )
         else:
             chosen = ready
-        edges = set()
+        edge_ids_at = self.edge_ids_at
+        ids = set()
         for gid in chosen:
-            for q in self.q2[gid]:
-                edges.update(self.edges_at[node.pos[q]])
-        return sorted(edges)
+            x, y = q2[gid]
+            ids.update(edge_ids_at[pos[x]])
+            ids.update(edge_ids_at[pos[y]])
+        edges = self.edges
+        return [edges[i] for i in sorted(ids)]
 
     def expand(self, node: _Node) -> list[_Node]:
         """The children of ``node`` over its candidate edges, in edge order,
@@ -618,34 +639,39 @@ def _on_couplers(circuit: Circuit, graph: CouplingGraph, mapping: Mapping) -> bo
 
 
 def _episode(ctx: _RouteContext, root: _Node):
-    """One best-first search run; returns (goal, best_partial)."""
+    """One best-first search run; returns (goal, best_partial).
+
+    Frontier entries are ``(g + h, -executed gates, seq, node)``; ``seq``
+    makes them unique, so a trim that sorts the frontier and keeps its first
+    ``_TRIM_KEEP`` entries keeps the smallest ones in heap order."""
     seq = itertools.count()
     open_heap = [(root.h, -root.exec_mask.bit_count(), next(seq), root)]
-    num_gates = ctx.num_gates
+    num_gates, all_mask = ctx.num_gates, ctx.all_mask
+    heappush, heappop = heapq.heappush, heapq.heappop
     root.key = root.code << num_gates | root.exec_mask
     visited = {root.key: 0}
     best_partial = root
+    best_done = root.exec_mask.bit_count()
     while open_heap:
-        _, _, _, node = heapq.heappop(open_heap)
+        _, neg_done, _, node = heappop(open_heap)
         if visited.get(node.key, node.g_cost) < node.g_cost:
             continue
-        if node.exec_mask == ctx.all_mask:
+        if node.exec_mask == all_mask:
             return node, best_partial
-        done = node.exec_mask.bit_count()
-        if (done, -node.h) > (best_partial.exec_mask.bit_count(), -best_partial.h):
-            best_partial = node
+        done = -neg_done
+        if (done, -node.h) > (best_done, -best_partial.h):
+            best_partial, best_done = node, done
+        g = node.g_cost + 1
         for child in ctx.expand(node):
             child.key = ckey = child.code << num_gates | child.exec_mask
             prev = visited.get(ckey)
-            if prev is not None and prev <= child.g_cost:
+            if prev is not None and prev <= g:
                 continue
-            visited[ckey] = child.g_cost
-            heapq.heappush(
-                open_heap,
-                (child.g_cost + child.h, -child.exec_mask.bit_count(), next(seq), child),
-            )
+            visited[ckey] = g
+            heappush(open_heap, (g + child.h, neg_done - len(child.done_here), next(seq), child))
         if len(open_heap) > _STATE_THRESHOLD:
-            open_heap = heapq.nsmallest(_TRIM_KEEP, open_heap)  # sorted, so a heap
+            open_heap.sort()
+            del open_heap[_TRIM_KEEP:]
     return None, best_partial
 
 

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import math
 import random
@@ -14,10 +15,13 @@ from mlqls.srefine import (
     _BETA,
     _GAMMA,
     _MAPPER_NODES_PER_SECOND,
+    _MAX_CANDIDATE_GATES,
     _REGION_BIAS,
     _SA_FINAL_TEMP_RATIO,
     _SA_MOVES_PER_QUBIT_PAIR,
     _SA_PROBE_MOVES,
+    _STATE_THRESHOLD,
+    _TRIM_KEEP,
     _cost_terms,
     _Node,
     _extend_partial,
@@ -577,6 +581,85 @@ def reference_sets(ctx, node) -> None:
     )
 
 
+def reference_h(ctx, node) -> float:
+    """The router's four-term lookahead estimate from a node's sets and
+    sums, as one routine first computed it for every node: normalized
+    ready-gate distance, one-hop child distance, related-qubit distance,
+    and the count of gates not yet executed. Empty gate sets contribute
+    zero."""
+    h = 0.0
+    if node.ready:
+        h += node.rsum / (len(node.ready) * ctx.nq)
+    if node.onehop:
+        h += (_ALPHA * node.osum + _BETA * node.psum) / (len(node.onehop) * ctx.nq)
+    h += _GAMMA * (ctx.mask2 & ~node.exec_mask).bit_count()
+    return h
+
+
+def reference_partners(circuit: Circuit) -> list[list[tuple[int, int]]]:
+    """Per qubit, ``(gate, other qubit)`` for each two-qubit gate on it, in
+    gate order."""
+    partners = [[] for _ in range(circuit.num_qubits)]
+    for g in circuit.gates:
+        if g.is_two_qubit:
+            a, b = g.qubits
+            partners[a].append((g.id, b))
+            partners[b].append((g.id, a))
+    return partners
+
+
+def reference_candidate_edges(ctx, node) -> list[tuple[int, int]]:
+    """The router's candidate SWAPs as first written: the set of
+    ``(low, high)`` edges at the positions of the ready gates' qubits (of
+    the ``_MAX_CANDIDATE_GATES`` closest ones, ties to the lower gate id,
+    when there are more), sorted."""
+    dist, pos, q2 = ctx.dist, node.pos, ctx.q2
+    chosen = sorted(node.ready, key=lambda g: (dist[pos[q2[g][0]]][pos[q2[g][1]]], g))
+    edges = set()
+    for gid in chosen[:_MAX_CANDIDATE_GATES]:
+        for q in q2[gid]:
+            p = pos[q]
+            edges.update((min(p, nb), max(p, nb)) for nb in ctx.graph.neighbors[p])
+    return sorted(edges)
+
+
+def reference_episode(ctx, root):
+    """One best-first search run as first written: each child's frontier
+    entry reads its own ``g_cost`` and executed-gate count, and a trim keeps
+    ``heapq.nsmallest(_TRIM_KEEP, ...)`` of the frontier. Returns ``(goal,
+    best_partial, trims)``, where ``trims`` counts the times the frontier
+    grew past ``_STATE_THRESHOLD``."""
+    seq = itertools.count()
+    open_heap = [(root.h, -root.exec_mask.bit_count(), next(seq), root)]
+    root.key = root.code << ctx.num_gates | root.exec_mask
+    visited = {root.key: 0}
+    best_partial = root
+    trims = 0
+    while open_heap:
+        _, _, _, node = heapq.heappop(open_heap)
+        if visited.get(node.key, node.g_cost) < node.g_cost:
+            continue
+        if node.exec_mask == ctx.all_mask:
+            return node, best_partial, trims
+        done = node.exec_mask.bit_count()
+        if (done, -node.h) > (best_partial.exec_mask.bit_count(), -best_partial.h):
+            best_partial = node
+        for child in ctx.expand(node):
+            child.key = ckey = child.code << ctx.num_gates | child.exec_mask
+            prev = visited.get(ckey)
+            if prev is not None and prev <= child.g_cost:
+                continue
+            visited[ckey] = child.g_cost
+            heapq.heappush(
+                open_heap,
+                (child.g_cost + child.h, -child.exec_mask.bit_count(), next(seq), child),
+            )
+        if len(open_heap) > _STATE_THRESHOLD:
+            open_heap = heapq.nsmallest(_TRIM_KEEP, open_heap)
+            trims += 1
+    return None, best_partial, trims
+
+
 def reference_expand(ctx, node) -> list:
     """The router's expansion as first written: for each candidate edge,
     ``_reference_improves`` walks the moved qubits' gates for the SWAP
@@ -584,7 +667,7 @@ def reference_expand(ctx, node) -> list:
     deltas and runs the closure and the set update as separate calls."""
     return [
         reference_child(ctx, node, a, b)
-        for a, b in ctx.candidate_edges(node)
+        for a, b in reference_candidate_edges(ctx, node)
         if _reference_improves(ctx, node, a, b)
     ]
 
@@ -593,10 +676,11 @@ def _reference_improves(ctx, node, a: int, b: int) -> bool:
     """True when the swap moves some ready-gate target strictly closer to
     its partner."""
     dist, ready, pos = ctx.dist, node.ready, node.pos
+    partners = reference_partners(ctx.circuit)
     for q, old_p, new_p in ((node.occ[a], a, b), (node.occ[b], b, a)):
         if q == -1:
             continue
-        for gid, other in ctx.partners[q]:
+        for gid, other in partners[q]:
             if gid in ready and dist[new_p][pos[other]] < dist[old_p][pos[other]]:
                 return True
     return False
@@ -635,8 +719,9 @@ def reference_child(ctx, node, a: int, b: int):
     # A gate on both moved qubits is met twice, but the swap keeps its
     # distance: it adds 0, and it is not ready, as the parent would have
     # run it. The same holds for the related pairs below.
+    partners = reference_partners(ctx.circuit)
     for q in moved:
-        for gid, other in ctx.partners[q]:  # ready and onehop are disjoint
+        for gid, other in partners[q]:  # ready and onehop are disjoint
             d = dist[cpos[q]][cpos[other]]
             if gid in ready:
                 drsum += d - dist[pos[q]][pos[other]]
@@ -660,7 +745,7 @@ def reference_child(ctx, node, a: int, b: int):
                     if gid in onehop:
                         dpsum += dist[cpos[x]][cpos[y]] - dist[pos[x]][pos[y]]
         child.psum = node.psum + dpsum
-    child.h = ctx._node_h(child)
+    child.h = reference_h(ctx, child)
     return child
 
 

@@ -11,10 +11,13 @@ from conftest import (
     heuristic_h,
     random_connected_graph,
     random_gates,
+    reference_candidate_edges,
     reference_child,
     reference_closure,
     reference_embed,
+    reference_episode,
     reference_expand,
+    reference_h,
     reference_initial_mapper,
     reference_sa_initial_mapping,
     reference_sets,
@@ -24,11 +27,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mlqls.srefine as srefine
-from mlqls import Circuit, CouplingGraph, Gate, Mapping, MappingRegion, gen_queko, make_device
+from mlqls import (
+    Circuit,
+    CouplingGraph,
+    Gate,
+    Mapping,
+    MappingRegion,
+    gen_qaoa,
+    gen_queko,
+    make_device,
+)
 from mlqls.exact import optimal_oracle
 from mlqls.model import build_dag
 from mlqls.srefine import (
     _GAMMA,
+    _MAX_CANDIDATE_GATES,
     SrefineConfig,
     _embed,
     _path_solution,
@@ -694,7 +707,7 @@ def rescanned(ctx, node):
     fresh.pos = node.pos
     fresh.exec_mask = reference_closure(ctx.circuit, ctx.graph, node.pos, node.exec_mask)
     reference_sets(ctx, fresh)
-    fresh.h = ctx._node_h(fresh)
+    fresh.h = reference_h(ctx, fresh)
     return fresh
 
 
@@ -788,6 +801,66 @@ def test_expand_matches_reference_during_search(monkeypatch, grid4, commutable):
         sol = astar_insert(c, grid4, Mapping(tuple(rng.sample(range(16), 12))))
         assert verify(c, grid4, sol).ok
     assert len(expanded) > 100
+
+
+@st.composite
+def candidate_walks(draw):
+    """A routing walk as ``routing_walks`` draws it, or a QAOA circuit of 20
+    to 40 qubits on grid:7 from a random start, whose commutable gates leave
+    more than ``_MAX_CANDIDATE_GATES`` ready at the root."""
+    if draw(st.booleans()):
+        return draw(routing_walks())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    circuit = gen_qaoa(draw(st.sampled_from([20, 30, 40])), draw(st.integers(0, 99)))
+    start = Mapping(tuple(rng.sample(range(49), circuit.num_qubits)))
+    return make_device("grid", 7), circuit, start, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(candidate_walks())
+def test_candidate_edges_match_reference(instance):
+    # At every step of a walk over forced SWAPs, the candidate edges equal
+    # the reference's set of (low, high) tuples, sorted.
+    graph, circuit, start, seed = instance
+    ctx = _RouteContext(circuit, graph)
+    node = ctx.make_root(start)
+    if circuit.num_qubits >= 20:
+        assert len(node.ready) > _MAX_CANDIDATE_GATES
+    rng = random.Random(seed)
+    for _ in range(40):
+        edges = ctx.candidate_edges(node)
+        assert edges == reference_candidate_edges(ctx, node)
+        if not edges:
+            break
+        node = ctx.make_child(node, *edges[rng.randrange(len(edges))])
+
+
+@pytest.mark.parametrize("commutable", [False, True])
+def test_episode_matches_reference(grid4, commutable):
+    # Routes on grid:4 from random starts, one episode at a time as
+    # astar_insert runs them: each episode gives the reference's goal and
+    # best partial node, and the frontier is trimmed along the way.
+    rng = random.Random(11)
+    trims = 0
+    for _ in range(4):
+        c = Circuit(12, random_gates(rng, 12, 30), commutable)
+        ctx = _RouteContext(c, grid4)
+        node = ctx.make_root(Mapping(tuple(rng.sample(range(16), 12))))
+        for _ in range(20):
+            goal, best = srefine._episode(ctx, node)
+            ref_goal, ref_best, ref_trims = reference_episode(ctx, node)
+            trims += ref_trims
+            assert node_fields(best) == node_fields(ref_best)
+            assert _path_solution(ctx, best) == _path_solution(ctx, ref_best)
+            assert (goal is None) == (ref_goal is None)
+            if goal is not None:
+                assert node_fields(goal) == node_fields(ref_goal)
+                assert _path_solution(ctx, goal) == _path_solution(ctx, ref_goal)
+                break
+            # the forced SWAP astar_insert takes after a stranded episode
+            forced = ctx.children(best, ctx.candidate_edges(best), False)
+            node = min(forced, key=lambda ch: (ch.h, ch.edge))
+    assert trims > 0
 
 
 def strand(monkeypatch) -> None:
