@@ -47,7 +47,6 @@ from .model import (
     load_device,
     make_device,
     parse_qasm,
-    to_qasm,
 )
 from .srefine import (
     SrefineConfig,

@@ -129,25 +129,15 @@ def _solve_hierarchy(
     """Solve the coarsest level (exactly when it fits), then interpolate and
     refine back down to the finest level."""
     coarsest = hierarchy.levels[-1]
-    if fits_exact(coarsest.circuit):
-        warm = srefine_run(
-            coarsest.circuit,
-            coarsest.graph,
-            None,
-            _quick_srefine(cfg.srefine),
-            random.Random(rng.randrange(1 << 62)),
-        )
+    exact = fits_exact(coarsest.circuit)
+    coarse_cfg = _quick_srefine(cfg.srefine) if exact else cfg.srefine
+    coarse_sol = srefine_run(
+        coarsest.circuit, coarsest.graph, None, coarse_cfg, random.Random(rng.randrange(1 << 62))
+    )
+    if exact:  # the heuristic answer warm-starts the exact solve
         coarse_sol = solve_exact(
-            coarsest.circuit, coarsest.graph, cfg.exact, warm_start=warm
+            coarsest.circuit, coarsest.graph, cfg.exact, warm_start=coarse_sol
         ).solution
-    else:
-        coarse_sol = srefine_run(
-            coarsest.circuit,
-            coarsest.graph,
-            None,
-            cfg.srefine,
-            random.Random(rng.randrange(1 << 62)),
-        )
     if len(hierarchy) == 1:
         # Degenerate V: refine the finest level around the exact solution.
         level = hierarchy.levels[0]

@@ -426,19 +426,6 @@ def _split_statements(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def to_qasm(circuit: Circuit) -> str:
-    """Serialize to the same OpenQASM subset parse_qasm accepts."""
-    lines = [
-        "OPENQASM 2.0;",
-        'include "qelib1.inc";',
-        f"qreg q[{circuit.num_qubits}];",
-    ]
-    for g in circuit.gates:
-        operands = ",".join(f"q[{q}]" for q in g.qubits)
-        lines.append(f"{g.name} {operands};")
-    return "\n".join(lines) + "\n"
-
-
 def circuit_to_json(circuit: Circuit) -> dict:
     return {
         "num_qubits": circuit.num_qubits,

@@ -17,7 +17,9 @@ four-term normalized lookahead heuristic; forward and backward passes then
 iterate while the SWAP count keeps improving. One loop scores each candidate
 SWAP in one pass over the two moved qubits' ready and one-hop gates, read
 from a table built once per expansion, applies the SWAP filter (some ready
-gate gets strictly closer) and builds the child.
+gate gets strictly closer) and builds the child. Every SWAP passes that
+filter: when trimming strands a search, the closest ready gate is walked
+together along a shortest path, and the search starts again from there.
 """
 
 from __future__ import annotations
@@ -442,13 +444,11 @@ class _RouteContext:
             h += (_ALPHA * osum + _BETA * psum) / (len(onehop) * nq)
         node.h = h + _GAMMA * (self.mask2 & ~exec_mask).bit_count()
 
-    def children(
-        self, node: _Node, edges: Iterable[tuple[int, int]], swap_filter: bool
-    ) -> list[_Node]:
+    def children(self, node: _Node, edges: Iterable[tuple[int, int]]) -> list[_Node]:
         """The states after swapping positions ``a < b`` for each ``(a, b)``
-        in ``edges``, in order. With ``swap_filter``, only swaps that move
-        some ready gate strictly closer give a child. ``expand`` (filter on)
-        and the forced-SWAP paths (filter off) share this one loop.
+        in ``edges``, in order, for the swaps that pass the SWAP filter: some
+        ready gate gets strictly closer. ``expand`` and the walk of
+        ``_force_nearest_gate`` share this one loop.
 
         Only ready and one-hop gates are scored, so one table per expansion
         lists, per qubit, its ready and one-hop gates in gate order, each
@@ -517,7 +517,7 @@ class _RouteContext:
                         executable += (gid,)
                 elif other != qa:
                     dosum += da[po] - db[po]
-            if swap_filter and not improves:
+            if not improves:
                 continue
             child = _Node()
             child.pos = cpos = pos.copy()
@@ -558,11 +558,6 @@ class _RouteContext:
             out.append(child)
         return out
 
-    def make_child(self, node: _Node, a: int, b: int) -> _Node:
-        """The state after swapping positions ``a < b``, whether or not the
-        swap passes the SWAP filter: the forced-SWAP paths use it."""
-        return self.children(node, ((a, b),), False)[0]
-
     # -- expansion ----------------------------------------------------------
 
     def candidate_edges(self, node: _Node) -> list[tuple[int, int]]:
@@ -590,7 +585,7 @@ class _RouteContext:
     def expand(self, node: _Node) -> list[_Node]:
         """The children of ``node`` over its candidate edges, in edge order,
         for the swaps that pass the SWAP filter."""
-        return self.children(node, self.candidate_edges(node), True)
+        return self.children(node, self.candidate_edges(node))
 
 
 def astar_insert(circuit: Circuit, graph: CouplingGraph, m0: Mapping) -> QlsSolution:
@@ -598,12 +593,13 @@ def astar_insert(circuit: Circuit, graph: CouplingGraph, m0: Mapping) -> QlsSolu
     sequences; gates execute as soon as they become adjacent, forming blocks.
 
     Returns an unverified, unscheduled solution (``depth`` None): the
-    caller checks the pass it keeps. If frontier trimming strands the
-    search, it continues from the best partial state with the cheapest SWAP
-    forced, so progress never stalls. The answer is read off the final
-    state's parent chain. A start that puts every two-qubit gate on a
-    coupler is answered as the root would be, with one block, without
-    setting up the search. Draws no random numbers.
+    caller checks the pass it keeps. If frontier trimming strands a search
+    episode, the closest ready gate is walked together from the episode's
+    root, so at least one more gate runs, and the next episode starts where
+    the walk ends. The answer is read off the goal's parent chain. A start
+    that puts every two-qubit gate on a coupler is answered as the root
+    would be, with one block, without setting up the search. Draws no
+    random numbers.
     """
     if circuit.num_qubits > graph.num_physical:
         raise ValueError("more program qubits than physical qubits")
@@ -611,21 +607,9 @@ def astar_insert(circuit: Circuit, graph: CouplingGraph, m0: Mapping) -> QlsSolu
         return QlsSolution((m0,), (0,) * len(circuit.gates), ())
     ctx = _RouteContext(circuit, graph)
     node = ctx.make_root(m0)
-    forced_streak = 0
-    while node.exec_mask != ctx.all_mask:
-        goal, node = _episode(ctx, node)
-        if goal is not None:
-            node = goal
-            break
-        node = min(
-            ctx.children(node, ctx.candidate_edges(node), False),
-            key=lambda ch: (ch.h, ch.edge),
-        )
-        forced_streak = 0 if node.done_here else forced_streak + 1
-        if forced_streak > 2 * graph.num_physical:
-            node = _force_nearest_gate(ctx, node)
-            forced_streak = 0
-    return _path_solution(ctx, node)
+    while (goal := _episode(ctx, node)) is None:
+        node = _force_nearest_gate(ctx, node)
+    return _path_solution(ctx, goal)
 
 
 def _on_couplers(circuit: Circuit, graph: CouplingGraph, mapping: Mapping) -> bool:
@@ -638,29 +622,27 @@ def _on_couplers(circuit: Circuit, graph: CouplingGraph, mapping: Mapping) -> bo
     )
 
 
-def _episode(ctx: _RouteContext, root: _Node):
-    """One best-first search run; returns (goal, best_partial).
+def _episode(ctx: _RouteContext, root: _Node) -> _Node | None:
+    """One best-first search run; returns its goal, or None when trimming
+    empties the frontier first.
 
     Frontier entries are ``(g + h, -executed gates, seq, node)``; ``seq``
     makes them unique, so a trim that sorts the frontier and keeps its first
-    ``_TRIM_KEEP`` entries keeps the smallest ones in heap order."""
+    ``_TRIM_KEEP`` entries keeps the smallest ones in heap order. The root
+    is visited at its own path cost, so a root that a walk reached, whose
+    cost is not 0, is expanded and not skipped as a stale entry."""
     seq = itertools.count()
     open_heap = [(root.h, -root.exec_mask.bit_count(), next(seq), root)]
     num_gates, all_mask = ctx.num_gates, ctx.all_mask
     heappush, heappop = heapq.heappush, heapq.heappop
     root.key = root.code << num_gates | root.exec_mask
-    visited = {root.key: 0}
-    best_partial = root
-    best_done = root.exec_mask.bit_count()
+    visited = {root.key: root.g_cost}
     while open_heap:
         _, neg_done, _, node = heappop(open_heap)
         if visited.get(node.key, node.g_cost) < node.g_cost:
             continue
         if node.exec_mask == all_mask:
-            return node, best_partial
-        done = -neg_done
-        if (done, -node.h) > (best_done, -best_partial.h):
-            best_partial, best_done = node, done
+            return node
         g = node.g_cost + 1
         for child in ctx.expand(node):
             child.key = ckey = child.code << num_gates | child.exec_mask
@@ -672,12 +654,14 @@ def _episode(ctx: _RouteContext, root: _Node):
         if len(open_heap) > _STATE_THRESHOLD:
             open_heap.sort()
             del open_heap[_TRIM_KEEP:]
-    return None, best_partial
+    return None
 
 
 def _force_nearest_gate(ctx: _RouteContext, node: _Node) -> _Node:
     """Last-resort progress: walk the closest ready gate together along a
-    shortest path, one child per SWAP; returns the last child."""
+    shortest path, one child per SWAP; returns the last child, which runs
+    the gate. Each step brings that ready gate one hop closer, so it passes
+    the SWAP filter."""
     dist = ctx.dist
     gid = min(
         node.ready,
@@ -687,7 +671,7 @@ def _force_nearest_gate(ctx: _RouteContext, node: _Node) -> _Node:
     while dist[node.pos[qa]][node.pos[qb]] > 1:
         pa, pb = node.pos[qa], node.pos[qb]
         step = min(ctx.neighbors[pa], key=lambda nb: (dist[nb][pb], nb))
-        node = ctx.make_child(node, *((pa, step) if pa < step else (step, pa)))
+        (node,) = ctx.children(node, ((pa, step) if pa < step else (step, pa),))
     return node
 
 

@@ -627,23 +627,19 @@ def reference_episode(ctx, root):
     """One best-first search run as first written: each child's frontier
     entry reads its own ``g_cost`` and executed-gate count, and a trim keeps
     ``heapq.nsmallest(_TRIM_KEEP, ...)`` of the frontier. Returns ``(goal,
-    best_partial, trims)``, where ``trims`` counts the times the frontier
-    grew past ``_STATE_THRESHOLD``."""
+    trims)``, with goal None when the frontier empties, where ``trims``
+    counts the times the frontier grew past ``_STATE_THRESHOLD``."""
     seq = itertools.count()
     open_heap = [(root.h, -root.exec_mask.bit_count(), next(seq), root)]
     root.key = root.code << ctx.num_gates | root.exec_mask
-    visited = {root.key: 0}
-    best_partial = root
+    visited = {root.key: root.g_cost}
     trims = 0
     while open_heap:
         _, _, _, node = heapq.heappop(open_heap)
         if visited.get(node.key, node.g_cost) < node.g_cost:
             continue
         if node.exec_mask == ctx.all_mask:
-            return node, best_partial, trims
-        done = node.exec_mask.bit_count()
-        if (done, -node.h) > (best_partial.exec_mask.bit_count(), -best_partial.h):
-            best_partial = node
+            return node, trims
         for child in ctx.expand(node):
             child.key = ckey = child.code << ctx.num_gates | child.exec_mask
             prev = visited.get(ckey)
@@ -657,7 +653,7 @@ def reference_episode(ctx, root):
         if len(open_heap) > _STATE_THRESHOLD:
             open_heap = heapq.nsmallest(_TRIM_KEEP, open_heap)
             trims += 1
-    return None, best_partial, trims
+    return None, trims
 
 
 def reference_expand(ctx, node) -> list:

@@ -189,7 +189,7 @@ def test_device_file_loading(tmp_path):
 
 
 def test_verify_bare_solution_with_flags(tmp_path):
-    from mlqls import Circuit, Mapping, make_device, to_qasm
+    from mlqls import Circuit, Mapping, make_device
     from mlqls.srefine import astar_insert
     from mlqls.verify import solution_to_json
 
@@ -199,7 +199,7 @@ def test_verify_bare_solution_with_flags(tmp_path):
     sol_file = tmp_path / "bare.json"
     sol_file.write_text(json.dumps(solution_to_json(sol)))
     qasm = tmp_path / "c.qasm"
-    qasm.write_text(to_qasm(c))
+    qasm.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\ncx q[0],q[1];\ncx q[1],q[2];\n')
     rc = main(
         [
             "compile", "--mode", "verify",

@@ -17,7 +17,6 @@ from mlqls import (
     gen_queko,
     make_device,
     parse_qasm,
-    to_qasm,
 )
 from mlqls.verify import QlsSolution, asap_depth, verify
 
@@ -67,17 +66,23 @@ class TestParseQasm:
         c = parse_qasm("qreg q[2];\nrz(0.5) q[0];\nbarrier q[0];\ncz q[0],q[1];")
         assert [g.name for g in c.gates] == ["rz", "cz"]
 
-    def test_roundtrip(self):
-        text = "qreg q[4];\nh q[2];\ncx q[0],q[1];\nswap q[1],q[3];\nt q[0];\ncz q[2],q[3];"
-        c1 = parse_qasm(text)
-        c2 = parse_qasm(to_qasm(c1))
-        assert [(g.name, g.qubits) for g in c1.gates] == [(g.name, g.qubits) for g in c2.gates]
-        assert c1.num_qubits == c2.num_qubits
+    def test_parse_literal_gates(self):
+        c = parse_qasm("qreg q[4];\nh q[2];\ncx q[0],q[1];\nswap q[1],q[3];\nt q[0];\ncz q[2],q[3];")
+        assert c.num_qubits == 4
+        assert [(g.name, g.qubits) for g in c.gates] == [
+            ("h", (2,)), ("cx", (0, 1)), ("swap", (1, 3)), ("t", (0,)), ("cz", (2, 3)),
+        ]
 
-    def test_roundtrip_generated(self):
-        c1 = gen_qaoa(8, seed=5)
-        c2 = parse_qasm(to_qasm(c1))
-        assert [g.qubits for g in c1.gates] == [g.qubits for g in c2.gates]
+    def test_parse_literal_with_header(self):
+        text = (
+            'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[5];\n'
+            "h q[0];\ncx q[0],q[4];\ncx q[3],q[1];\ncz q[4],q[2];\n"
+        )
+        c = parse_qasm(text)
+        assert c.num_qubits == 5
+        assert [(g.name, g.qubits) for g in c.gates] == [
+            ("h", (0,)), ("cx", (0, 4)), ("cx", (3, 1)), ("cz", (4, 2)),
+        ]
 
 
 class TestCircuitTypes:

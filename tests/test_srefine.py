@@ -12,7 +12,6 @@ from conftest import (
     random_connected_graph,
     random_gates,
     reference_candidate_edges,
-    reference_child,
     reference_closure,
     reference_embed,
     reference_episode,
@@ -232,11 +231,10 @@ class TestHeuristic:
         ctx = _RouteContext(c, grid3)
         node = ctx.make_root(Mapping((0, 2, 6, 8, 4, 1)))
         for _ in range(40):
-            edges = ctx.candidate_edges(node)
-            if not edges or not ctx.mask2 & ~node.exec_mask:
+            children = ctx.expand(node)
+            if not children:
                 break
-            a, b = edges[rng.randrange(len(edges))]
-            node = ctx.make_child(node, a, b)
+            node = children[rng.randrange(len(children))]
             fresh = ctx.make_root(Mapping(tuple(node.pos)))
             # same mapping re-rooted: ready sets may differ (fresh executes
             # from scratch) but sums over identical sets must agree
@@ -687,9 +685,9 @@ def routing_walks(draw):
     """A random connected device of 3 to 7 nodes, a random commutable or
     non-commutable circuit of 6 to 16 gates on 3 or more of them, about a
     fifth single-qubit gates, a start mapping, and a seed for a walk over
-    candidate SWAPs. The gates and the start come from a seeded
+    routing moves. The gates and the start come from a seeded
     ``random.Random``, not from minimal Hypothesis draws, so most walks need
-    SWAPs: 360 of the 400 in ``test_path_solution_matches_reference_builder``
+    SWAPs: 329 of the 400 in ``test_path_solution_matches_reference_builder``
     end with more than one block."""
     n = draw(st.integers(3, 7))
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -729,10 +727,10 @@ def test_child_state_matches_rescan(instance):
     assert node.exec_mask == expected
     rng = random.Random(seed)
     for _ in range(40):
-        edges = ctx.candidate_edges(node)
-        if not edges:
+        children = ctx.expand(node)
+        if not children:
             break
-        node = ctx.make_child(node, *edges[rng.randrange(len(edges))])
+        node = children[rng.randrange(len(children))]
         expected = reference_closure(circuit, graph, node.pos, expected)
         assert node.exec_mask == expected
         fresh = rescanned(ctx, node)
@@ -759,25 +757,18 @@ def node_fields(node) -> tuple:
 @given(routing_walks())
 def test_expand_matches_reference(instance):
     # At every step of a walk, expansion gives the children of the two-pass
-    # reference, in the same order, and a forced child equals its reference.
+    # reference, in the same order.
     graph, circuit, start, seed = instance
     ctx = _RouteContext(circuit, graph)
     node = ctx.make_root(start)
     rng = random.Random(seed)
     for _ in range(40):
-        edges = ctx.candidate_edges(node)
-        if not edges:
-            break
         children = ctx.expand(node)
         expected = reference_expand(ctx, node)
         assert [node_fields(c) for c in children] == [node_fields(c) for c in expected]
-        if children and rng.random() < 0.75:
-            node = children[rng.randrange(len(children))]
-        else:
-            a, b = edges[rng.randrange(len(edges))]
-            forced = ctx.make_child(node, a, b)
-            assert node_fields(forced) == node_fields(reference_child(ctx, node, a, b))
-            node = forced
+        if not children:
+            break
+        node = children[rng.randrange(len(children))]
 
 
 @pytest.mark.parametrize("commutable", [False, True])
@@ -819,8 +810,8 @@ def candidate_walks(draw):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(candidate_walks())
 def test_candidate_edges_match_reference(instance):
-    # At every step of a walk over forced SWAPs, the candidate edges equal
-    # the reference's set of (low, high) tuples, sorted.
+    # At every step of a walk over expanded children, the candidate edges
+    # equal the reference's set of (low, high) tuples, sorted.
     graph, circuit, start, seed = instance
     ctx = _RouteContext(circuit, graph)
     node = ctx.make_root(start)
@@ -832,14 +823,15 @@ def test_candidate_edges_match_reference(instance):
         assert edges == reference_candidate_edges(ctx, node)
         if not edges:
             break
-        node = ctx.make_child(node, *edges[rng.randrange(len(edges))])
+        children = ctx.expand(node)
+        node = children[rng.randrange(len(children))]
 
 
 @pytest.mark.parametrize("commutable", [False, True])
 def test_episode_matches_reference(grid4, commutable):
     # Routes on grid:4 from random starts, one episode at a time as
-    # astar_insert runs them: each episode gives the reference's goal and
-    # best partial node, and the frontier is trimmed along the way.
+    # astar_insert runs them: each episode gives the reference's goal, or
+    # strands where it does, and the frontier is trimmed along the way.
     rng = random.Random(11)
     trims = 0
     for _ in range(4):
@@ -847,31 +839,29 @@ def test_episode_matches_reference(grid4, commutable):
         ctx = _RouteContext(c, grid4)
         node = ctx.make_root(Mapping(tuple(rng.sample(range(16), 12))))
         for _ in range(20):
-            goal, best = srefine._episode(ctx, node)
-            ref_goal, ref_best, ref_trims = reference_episode(ctx, node)
+            goal = srefine._episode(ctx, node)
+            ref_goal, ref_trims = reference_episode(ctx, node)
             trims += ref_trims
-            assert node_fields(best) == node_fields(ref_best)
-            assert _path_solution(ctx, best) == _path_solution(ctx, ref_best)
             assert (goal is None) == (ref_goal is None)
             if goal is not None:
                 assert node_fields(goal) == node_fields(ref_goal)
                 assert _path_solution(ctx, goal) == _path_solution(ctx, ref_goal)
                 break
-            # the forced SWAP astar_insert takes after a stranded episode
-            forced = ctx.children(best, ctx.candidate_edges(best), False)
-            node = min(forced, key=lambda ch: (ch.h, ch.edge))
+            # the walk astar_insert takes after a stranded episode
+            node = srefine._force_nearest_gate(ctx, node)
     assert trims > 0
 
 
 def strand(monkeypatch) -> None:
-    """Make every search episode strand at once, so the router forces a
-    SWAP at every step."""
-    monkeypatch.setattr(srefine, "_episode", lambda ctx, root: (None, root))
+    """Make every search episode that does not start at a goal strand at
+    once, so the router walks one gate after another."""
+    monkeypatch.setattr(
+        srefine, "_episode", lambda ctx, root: root if root.exec_mask == ctx.all_mask else None
+    )
 
 
-# On path:5 a stranded search of this circuit forces SWAPs that stall long
-# enough to reach _force_nearest_gate, whose walk steps from position 4
-# down to 3.
+# On path:5 a stranded search of this circuit first walks gate 0, from
+# position 3 down to 2.
 STRANDED_CIRCUIT = Circuit.from_pairs(5, [(2, 4), (3, 0), (3, 0), (0, 1), (2, 0)])
 STRANDED_START = Mapping((2, 0, 3, 4, 1))
 
@@ -879,8 +869,8 @@ STRANDED_START = Mapping((2, 0, 3, 4, 1))
 @pytest.mark.parametrize("stranded", [False, True])
 def test_swap_edges_are_ordered(monkeypatch, stranded):
     # The answer's SWAPs are the path's node edges as they are, so every
-    # one must be (low, high). Searched SWAPs come from expansion, forced
-    # ones from make_child and the walk of _force_nearest_gate.
+    # one must be (low, high). Searched SWAPs come from expansion, walked
+    # ones from the steps of _force_nearest_gate.
     if stranded:
         strand(monkeypatch)
     walks = spy(monkeypatch, "_force_nearest_gate")
@@ -911,8 +901,8 @@ def reference_path_solution(ctx, node):
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(routing_walks())
 def test_path_solution_matches_reference_builder(instance):
-    # Walks mix searched children, forced SWAPs and nearest-gate walks, so
-    # gaps of one and of several SWAPs occur, and the root may run gates.
+    # Walks mix searched children and nearest-gate walks, so gaps of one
+    # and of several SWAPs occur, and the root may run gates.
     graph, circuit, start, seed = instance
     ctx = _RouteContext(circuit, graph)
     node = ctx.make_root(start)
@@ -920,13 +910,9 @@ def test_path_solution_matches_reference_builder(instance):
     for _ in range(60):
         if node.exec_mask == ctx.all_mask:
             break
-        children = ctx.expand(node)
-        r = rng.random()
-        if children and r < 0.6:
+        if rng.random() < 0.75:
+            children = ctx.expand(node)
             node = children[rng.randrange(len(children))]
-        elif r < 0.85:
-            edges = ctx.candidate_edges(node)
-            node = ctx.make_child(node, *edges[rng.randrange(len(edges))])
         else:
             node = srefine._force_nearest_gate(ctx, node)
     if node.exec_mask != ctx.all_mask:
@@ -968,6 +954,40 @@ def test_path_solution_matches_reference_when_stranded(monkeypatch):
     answers = check_path_solutions(monkeypatch)
     astar_insert(STRANDED_CIRCUIT, make_device("path", 5), STRANDED_START)
     assert walks and len(answers) == 1
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(3, 5),
+    st.booleans(),
+    st.integers(4, 30),
+    st.integers(0, 2**32),
+)
+def test_routes_verify_when_episodes_strand(side, commutable, count, seed):
+    # Real episodes, of which a seeded half of those that do not start at a
+    # goal strand at once: searches and last-resort walks interleave, every
+    # answer verifies, and each walk runs a gate, so strandings never exceed
+    # the gate count.
+    rng = random.Random(seed)
+    graph = make_device("grid", side)
+    nq = rng.randint(2, graph.num_physical)
+    circuit = Circuit(nq, random_gates(rng, nq, count), commutable)
+    start = Mapping(tuple(rng.sample(range(graph.num_physical), nq)))
+    strandings = 0
+    real = srefine._episode
+
+    def halved(ctx, root):
+        nonlocal strandings
+        if root.exec_mask != ctx.all_mask and rng.random() < 0.5:
+            strandings += 1
+            return None
+        return real(ctx, root)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(srefine, "_episode", halved)
+        sol = astar_insert(circuit, graph, start)
+    assert verify(circuit, graph, sol).ok
+    assert strandings <= len(circuit.gates)
 
 
 @st.composite

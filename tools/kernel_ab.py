@@ -7,10 +7,13 @@ The tool loads each tree's ``src/mlqls`` under its own package name. It
 compiles the workload's perfbench instance sets for the given seeds with
 this checkout's package, once each, and records the input of every
 ``srefine.sa_initial_mapping`` and ``srefine.forward_backward`` call. Then
-it replays each input in both trees, alternating which tree goes first from
-input to input, asserts that both give the same output, and prints per
-kernel the calls, each tree's CPU seconds (``time.process_time``) and their
-ratio. A kernel's traced ``self_s`` in perfbench is wall time and drifts
+it replays each input ``REPLAYS`` times in both trees, alternating which
+tree goes first from replay to replay, asserts that both give the same
+output, and prints per kernel the calls, each tree's CPU seconds
+(``time.process_time``, summed over every replay), the ratio of those
+totals and the median of the per-input ratios. The total ratio weighs the
+long calls; the median is robust to one input that a noisy neighbour
+slowed. A kernel's traced ``self_s`` in perfbench is wall time and drifts
 with the host's speed between runs; here both trees run the same inputs
 side by side, so a drift favours neither. It exits 1 if the outputs
 differ, 2 on a usage error.
@@ -23,6 +26,7 @@ import gc
 import importlib.util
 import json
 import random
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -35,6 +39,7 @@ import workloads  # noqa: E402
 
 MODULES = ("model", "verify", "cluster", "srefine", "exact", "flow")
 KERNELS = ("sa_initial_mapping", "forward_backward")
+REPLAYS = 3  # replays of each recorded input per tree
 
 
 def load_tree(tree: Path, name: str) -> SimpleNamespace:
@@ -146,23 +151,34 @@ def main(argv: list[str] | None = None) -> int:
     replayers = {name: Replayer(lib) for name, lib in libs.items()}
     cpu = {(tree, kernel): 0.0 for tree in libs for kernel in KERNELS}
     count = dict.fromkeys(KERNELS, 0)
+    ratios: dict[str, list[float]] = {kernel: [] for kernel in KERNELS}
     for i, (kernel, kernel_args) in enumerate(calls):
-        order = ("this", "other") if i % 2 == 0 else ("other", "this")
-        outputs = {}
-        for tree in order:
-            seconds, outputs[tree] = replayers[tree].run(kernel, kernel_args)
+        spent = dict.fromkeys(libs, 0.0)
+        for r in range(REPLAYS):
+            order = ("this", "other") if (i + r) % 2 == 0 else ("other", "this")
+            outputs = {}
+            for tree in order:
+                seconds, outputs[tree] = replayers[tree].run(kernel, kernel_args)
+                spent[tree] += seconds
+            if outputs["this"] != outputs["other"]:
+                print(f"error: call {i} of {kernel} gives different outputs", file=sys.stderr)
+                return 1
+        for tree, seconds in spent.items():
             cpu[tree, kernel] += seconds
         count[kernel] += 1
-        if outputs["this"] != outputs["other"]:
-            print(f"error: call {i} of {kernel} gives different outputs", file=sys.stderr)
-            return 1
+        if spent["other"]:
+            ratios[kernel].append(spent["this"] / spent["other"])
 
-    print(f"this={ROOT}  other={other}  workload={args.workload}  seeds={seeds}")
-    print(f"{'kernel':<20} {'calls':>6} {'this cpu_s':>11} {'other cpu_s':>12} {'this/other':>11}")
+    print(f"this={ROOT}  other={other}  workload={args.workload}  seeds={seeds}  "
+          f"replays={REPLAYS}")
+    print(f"{'kernel':<20} {'calls':>6} {'this cpu_s':>11} {'other cpu_s':>12} "
+          f"{'this/other':>11} {'median ratio':>13}")
     for kernel in KERNELS:
         mine, theirs = cpu["this", kernel], cpu["other", kernel]
         ratio = f"{mine / theirs:.3f}" if theirs else "n/a"
-        print(f"{kernel:<20} {count[kernel]:>6} {mine:>11.3f} {theirs:>12.3f} {ratio:>11}")
+        median = f"{statistics.median(ratios[kernel]):.3f}" if ratios[kernel] else "n/a"
+        print(f"{kernel:<20} {count[kernel]:>6} {mine:>11.3f} {theirs:>12.3f} {ratio:>11} "
+              f"{median:>13}")
     print("outputs: same on every call")
     return 0
 
