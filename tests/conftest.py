@@ -467,11 +467,13 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def reference_embed(constraints, graph, hint, budget):
+def reference_embed(constraints, graph, hint, budget, degree_rule=True):
     """The embedding search as first written, on sets: ``pick`` recounts
     each variable's placed partners at every search node, and a variable's
     candidates are the intersection of its placed partners' neighbour sets
-    minus the used positions, sorted, hint first."""
+    minus the used positions, sorted, hint first. With ``degree_rule``, a
+    candidate must also have at least as many neighbours as the variable
+    has partners; without it, this is the search before that rule."""
     variables = sorted(constraints)
     if not variables:
         return {}
@@ -495,6 +497,8 @@ def reference_embed(constraints, graph, hint, budget):
             cands = set.intersection(*(nbr_sets[p] for p in placed)) - used
         else:
             cands = set(range(graph.num_physical)) - used
+        if degree_rule:
+            cands = {p for p in cands if len(nbr_sets[p]) >= len(constraints[q])}
         out = sorted(cands)
         if hint.get(q) in cands:
             out.remove(hint[q])
@@ -523,14 +527,15 @@ def reference_embed(constraints, graph, hint, budget):
         return None
 
 
-def reference_initial_mapper(circuit, graph, budget_seconds, rng):
+def reference_initial_mapper(circuit, graph, budget_seconds, rng, degree_rule=True):
     """The constraint-growing mapper with eager scoring, as first written:
     each trial copies the accepted constraints, ``reference_embed`` decides
-    it, and every accepted placement is scored at once, the lowest cost
-    kept (strict ``<``, so the earliest of equals). When every pair is
-    accepted the full embedding is returned instead. Returns ``(mapping,
-    accepted, total, budget left)``; the last tells a test whether the node
-    budget ran out."""
+    it (with or without ``degree_rule``), and every accepted placement is
+    scored at once, the lowest cost kept (strict ``<``, so the earliest of
+    equals). When every pair is accepted the full embedding is returned
+    instead. Returns ``(mapping, accepted, total, budget left, accepted
+    pairs)``; the budget left tells a test whether the node budget ran
+    out."""
     order = [g for g in circuit.gates if g.is_two_qubit]
     rng.shuffle(order)
     nodes = budget_seconds * _MAPPER_NODES_PER_SECOND
@@ -547,7 +552,7 @@ def reference_initial_mapper(circuit, graph, budget_seconds, rng):
         trial = {q: set(nbrs) for q, nbrs in required.items()}
         trial.setdefault(a, set()).add(b)
         trial.setdefault(b, set()).add(a)
-        solution = reference_embed(trial, graph, assign, budget)
+        solution = reference_embed(trial, graph, assign, budget, degree_rule)
         if solution is not None:
             accepted_pairs.add(pair)
             required, assign = trial, solution
@@ -559,7 +564,7 @@ def reference_initial_mapper(circuit, graph, budget_seconds, rng):
             break
     if len(accepted_pairs) == total:
         best_map = _extend_partial(assign, circuit.num_qubits, graph)
-    return best_map, len(accepted_pairs), total, budget[0]
+    return best_map, len(accepted_pairs), total, budget[0], accepted_pairs
 
 
 def reference_sets(ctx, node) -> None:

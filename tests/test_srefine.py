@@ -570,12 +570,25 @@ def neighbour_masks(graph):
     return [sum(1 << nb for nb in ns) for ns in graph.neighbors]
 
 
+def degree_masks(graph):
+    """Bit p of entry k is set when position p has at least k neighbours."""
+    return [
+        sum(1 << p for p, ns in enumerate(graph.neighbors) if len(ns) >= k)
+        for k in range(graph.num_physical)
+    ]
+
+
+def embed(graph, constraints, hint, budget):
+    """``_embed`` with the neighbour and degree masks of ``graph``."""
+    return _embed(constraints, neighbour_masks(graph), degree_masks(graph), hint, budget)
+
+
 def check_embed(graph, constraints, hint, budget):
-    """``_embed`` on neighbour masks places every variable where the
-    set-based reference does, and leaves the same budget."""
+    """``_embed`` on neighbour and degree masks places every variable where
+    the set-based reference does, and leaves the same budget."""
     expected_budget, got_budget = [budget], [budget]
     expected = reference_embed(constraints, graph, hint, expected_budget)
-    got = _embed(constraints, neighbour_masks(graph), hint, got_budget)
+    got = embed(graph, constraints, hint, got_budget)
     assert got == expected
     assert got_budget == expected_budget
 
@@ -671,13 +684,102 @@ def test_mapper_matches_eager_reference(instance):
     assert got == expected[:3]
 
 
+def budget_runs_out_case(seed=7):
+    """60 random gates on 16 qubits. With seed 7 the mapper runs out of its
+    budget of 1000 nodes on grid:4 with the seed-0 gate order."""
+    rng = random.Random(seed)
+    return Circuit.from_pairs(16, [tuple(rng.sample(range(16), 2)) for _ in range(60)])
+
+
 def test_mapper_matches_eager_reference_when_budget_runs_out(grid4):
-    rng = random.Random(7)
-    c = Circuit.from_pairs(16, [tuple(rng.sample(range(16), 2)) for _ in range(60)])
+    c = budget_runs_out_case()
     expected = reference_initial_mapper(c, grid4, 0.01, random.Random(0))
-    mapping, accepted, total, budget_left = expected
+    mapping, accepted, total, budget_left, _ = expected
     assert budget_left <= 0 and 0 < accepted < total
     assert srefine._initial_mapper_ex(c, grid4, 0.01, random.Random(0)) == expected[:3]
+
+
+def check_degree_rule_embed(graph, constraints, hint, budget):
+    """Where the search without the degree rule finishes within its budget,
+    ``_embed`` returns its placement and uses no more nodes; where it runs
+    out, ``_embed`` returns None or a valid injective embedding."""
+    unpruned_budget, got_budget = [budget], [budget]
+    unpruned = reference_embed(constraints, graph, hint, unpruned_budget, degree_rule=False)
+    got = embed(graph, constraints, hint, got_budget)
+    if unpruned_budget[0] > 0:
+        assert got == unpruned
+        assert got_budget[0] >= unpruned_budget[0]
+    elif got is not None:
+        assert sorted(got) == sorted(constraints)
+        assert len(set(got.values())) == len(got)
+        assert all(graph.has_edge(got[a], got[b]) for a in constraints for b in constraints[a])
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(embed_instances() | wide_embed_instances())
+def test_degree_rule_keeps_the_first_embedding(instance):
+    check_degree_rule_embed(*instance)
+
+
+def check_degree_rule_mapper(circuit, graph, budget_seconds, seed):
+    """The mapper with the degree rule against the eager reference without
+    it: the same answer when the reference's budget lasts; otherwise it
+    accepts a superset of the reference's pairs and, unless it accepts
+    every pair, picks a placement of no higher annealing cost. Returns the
+    reference's result and the mapper's."""
+    expected = reference_initial_mapper(
+        circuit, graph, budget_seconds, random.Random(seed), degree_rule=False
+    )
+    expected_map, _, total, budget_left, expected_pairs = expected
+    accepted_pairs = set()
+    real = srefine._embed
+
+    def recording_embed(constraints, *args):
+        solution = real(constraints, *args)
+        if solution is not None:
+            accepted_pairs.update((a, b) for a in constraints for b in constraints[a] if a < b)
+        return solution
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(srefine, "_embed", recording_embed)
+        got = srefine._initial_mapper_ex(circuit, graph, budget_seconds, random.Random(seed))
+    assert got[1] == len(accepted_pairs)
+    if budget_left > 0:
+        assert got == expected[:3]
+    else:
+        assert accepted_pairs >= expected_pairs
+        if got[1] < total:
+            assert sa_cost(circuit, got[0], graph) <= sa_cost(circuit, expected_map, graph)
+    return expected, got
+
+
+@pytest.mark.parametrize("circuit_seed, further", [(7, False), (24, True)])
+def test_degree_rule_mapper_when_budget_runs_out(grid4, circuit_seed, further):
+    # Seed 7 runs out at the same pair with the rule as without it; seed 24
+    # gets further with it (15 pairs against 7) and picks a cheaper start.
+    c = budget_runs_out_case(circuit_seed)
+    expected, got = check_degree_rule_mapper(c, grid4, 0.01, 0)
+    assert expected[3] <= 0 and got[1] < got[2]
+    assert (got[1] > expected[1]) == further
+    assert (got[0] != expected[0]) == further
+
+
+@st.composite
+def crowded_mapper_instances(draw):
+    """Every qubit of grid:3 or grid:4 in 10 to 60 random two-qubit gates,
+    a budget of 1000 mapper nodes, which about half of them run out of, and
+    a seed for the gate order."""
+    graph = draw(st.sampled_from((make_device("grid", 3), make_device("grid", 4))))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    nq = graph.num_physical
+    pairs = [tuple(rng.sample(range(nq), 2)) for _ in range(draw(st.integers(10, 60)))]
+    return Circuit.from_pairs(nq, pairs), graph, 0.01, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(crowded_mapper_instances())
+def test_degree_rule_mapper_accepts_a_superset(instance):
+    check_degree_rule_mapper(*instance)
 
 
 @st.composite
