@@ -24,6 +24,7 @@ from .model import (
     gen_qaoa,
     gen_queko,
     load_device,
+    load_json,
     make_device,
     parse_qasm,
 )
@@ -80,7 +81,7 @@ def build_circuit(
     if circuit_file is not None:
         with open(circuit_file) as fh:
             if circuit_file.endswith(".json"):
-                return circuit_from_json(json.load(fh))
+                return circuit_from_json(load_json(fh))
             return parse_qasm(fh.read())
     kind, _, rest = gen.partition(":")
     kv = _parse_kv(rest)
@@ -184,7 +185,7 @@ def _cmd_verify(args: argparse.Namespace, device: CouplingGraph | None) -> int:
     if not args.solution:
         raise ValueError("--mode verify requires --solution")
     with open(args.solution) as fh:
-        data = json.load(fh)
+        data = load_json(fh)
     if isinstance(data, dict) and "solution" in data:  # bundle written by cmd_compile
         circuit = circuit_from_json(data.get("circuit"))
         device = device_from_json(data.get("device"))

@@ -498,9 +498,18 @@ def device_from_json(data: dict) -> CouplingGraph:
     )
 
 
+def load_json(fh) -> object:
+    """``json.load``, with input nested too deeply to parse reported as a
+    ``ValueError`` like any other malformed JSON."""
+    try:
+        return json.load(fh)
+    except RecursionError:
+        raise ValueError(f"{getattr(fh, 'name', 'JSON input')}: JSON nested too deeply") from None
+
+
 def load_device(path: str) -> CouplingGraph:
     with open(path) as fh:
-        return device_from_json(json.load(fh))
+        return device_from_json(load_json(fh))
 
 
 # ---------------------------------------------------------------------------

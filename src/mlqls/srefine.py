@@ -19,9 +19,12 @@ four-term normalized lookahead heuristic; forward and backward passes then
 iterate while the SWAP count keeps improving. One loop scores each candidate
 SWAP in one pass over the two moved qubits' ready and one-hop gates, read
 from a table built once per expansion, applies the SWAP filter (some ready
-gate gets strictly closer) and builds the child. Every SWAP passes that
-filter: when trimming strands a search, the closest ready gate is walked
-together along a shortest path, and the search starts again from there.
+gate gets strictly closer) and builds the child. A child runs the closure
+only when a gate it runs has successors in the dependency DAG; otherwise it
+runs exactly the ready gates the SWAP made adjacent, which is every child of
+a commutable circuit. Every SWAP passes the filter: when trimming strands a
+search, the closest ready gate is walked together along a shortest path,
+and the search starts again from there.
 """
 
 from __future__ import annotations
@@ -343,6 +346,7 @@ class _RouteContext:
         self.is2 = [g.is_two_qubit for g in circuit.gates]
         self.q2 = [g.qubits if g.is_two_qubit else None for g in circuit.gates]
         self.mask2 = sum(1 << g.id for g in circuit.gates if g.is_two_qubit)
+        self.leaves = frozenset(gid for gid, succs in enumerate(dag.succs) if not succs)
         self.related_pairs = _related_pairs(circuit, dag)
         self.related_by_qubit: list[list[tuple[int, int, int]]] = [[] for _ in range(self.nq)]
         for gid, pairs in enumerate(self.related_pairs):
@@ -380,7 +384,8 @@ class _RouteContext:
         two-qubit gate, its qubits are adjacent; its successors are queued
         then. A ready gate that runs leaves ``ready`` and costs 1 in
         ``rsum``; a two-qubit gate reached but not adjacent becomes ready.
-        ``make_root`` and every child that runs gates share this routine."""
+        ``make_root`` and every child that runs a gate with successors share
+        this routine."""
         pred_masks, succs, is2, q2 = self.pred_masks, self.dag.succs, self.is2, self.q2
         dist, pos = self.dist, node.pos
         children2, parents2 = self.dag.children2, self.dag.parents2
@@ -458,10 +463,15 @@ class _RouteContext:
         one pass over the two moved qubits' rows, against the parent's
         positions: the changes of the ready and one-hop distance sums, the
         filter, and the ready gates the swap makes adjacent, in the order
-        the closure runs them. A child that runs gates gets its sets and
-        estimate from ``_close``; one that runs none shares the parent's
-        sets, shifts its sums, and computes the same estimate from terms
-        shared by all such children.
+        the closure runs them. A child that runs a gate with DAG successors
+        gets its sets and estimate from ``_close``. The closure of any other
+        child runs just the ready gates the swap made adjacent, none of
+        which has a one-hop child, so the child keeps the parent's one-hop
+        set and shifts its sums. One that runs no gate also shares the
+        parent's ready set and the estimate's terms shared by all such
+        children; one that runs gates drops them from ``ready``, adds them
+        to ``exec_mask`` and costs 1 each in ``rsum``. Both compute the
+        estimate with the expression ``_close`` uses.
 
         A gate on both moved qubits keeps its distance, so it adds nothing
         and never passes the filter. It is never ready either: its qubits sit
@@ -471,10 +481,11 @@ class _RouteContext:
         related_by_qubit, pos_shift = self.related_by_qubit, self.pos_shift
         exec_mask, g_cost = node.exec_mask, node.g_cost + 1
         rsum0, osum0, psum0 = node.rsum, node.osum, node.psum
+        leaves, nq, mask2 = self.leaves, self.nq, self.mask2
         # the estimate's denominators and gate count for a child that runs no gate
-        ready_den = len(ready) * self.nq
-        onehop_den = len(onehop) * self.nq
-        unexecuted = _GAMMA * (self.mask2 & ~exec_mask).bit_count()
+        ready_den = len(ready) * nq
+        onehop_den = len(onehop) * nq
+        unexecuted = _GAMMA * (mask2 & ~exec_mask).bit_count()
         # act[q]: (gate, other qubit, is ready) for q's ready and one-hop
         # gates, which are disjoint sets; a qubit with none, or -1, is absent
         act: dict[int, list[tuple[int, int, bool]]] = {}
@@ -536,27 +547,42 @@ class _RouteContext:
             child.parent = node
             child.edge = edge
             child.g_cost = g_cost
-            child.exec_mask = exec_mask
-            if executable:
-                self._close(child, ready, onehop, rsum0 + drsum, executable)
-            else:
+            if not executable:
                 child.done_here = []
+                child.exec_mask = exec_mask
                 child.ready = ready
-                child.onehop = onehop
                 child.rsum = rsum = rsum0 + drsum
-                child.osum = osum = osum0 + dosum
-                psum = psum0
                 h = rsum / ready_den if ready else 0.0
-                if onehop:
-                    for q in (qa, qb):
-                        if q == -1:
-                            continue
-                        for gid, x, y in related_by_qubit[q]:
-                            if gid in onehop:
-                                psum += dist[cpos[x]][cpos[y]] - dist[pos[x]][pos[y]]
-                    h += (_ALPHA * osum + _BETA * psum) / onehop_den
-                child.psum = psum
-                child.h = h + unexecuted
+                h_gates = unexecuted
+            elif not leaves.issuperset(executable):  # a gate that runs has successors
+                child.exec_mask = exec_mask
+                self._close(child, ready, onehop, rsum0 + drsum, executable)
+                out.append(child)
+                continue
+            else:  # the closure would run the executable gates and no more
+                child.done_here = list(executable)
+                cmask = exec_mask
+                for gid in executable:
+                    cmask |= 1 << gid
+                child.exec_mask = cmask
+                child.ready = cready = ready.difference(executable)
+                child.rsum = rsum = rsum0 + drsum - len(executable)
+                h = rsum / (len(cready) * nq) if cready else 0.0
+                h_gates = _GAMMA * (mask2 & ~cmask).bit_count()
+            # no gate joined or left the one-hop set: shift its sums
+            child.onehop = onehop
+            child.osum = osum = osum0 + dosum
+            psum = psum0
+            if onehop:
+                for q in (qa, qb):
+                    if q == -1:
+                        continue
+                    for gid, x, y in related_by_qubit[q]:
+                        if gid in onehop:
+                            psum += dist[cpos[x]][cpos[y]] - dist[pos[x]][pos[y]]
+                h += (_ALPHA * osum + _BETA * psum) / onehop_den
+            child.psum = psum
+            child.h = h + h_gates
             out.append(child)
         return out
 

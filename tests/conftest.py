@@ -328,6 +328,56 @@ def reference_closure(circuit: Circuit, graph: CouplingGraph, pos, executed: int
     return executed
 
 
+def reference_exact_closure(search, block: int) -> None:
+    """The exact solver's closure as first written: one ascending pass over
+    every gate of ``search``, which runs each gate whose predecessors have
+    run and, for a two-qubit gate, whose qubits are bound to adjacent
+    positions. Predecessors have lower ids, so one pass reaches the
+    fixpoint."""
+    mask = search.exec_mask
+    for gid in range(search.num_gates):
+        if mask >> gid & 1 or search.pred_masks[gid] & ~mask:
+            continue
+        if search.is2[gid]:
+            qa, qb = search.gate_qubits[gid]
+            pa, pb = search.pos[qa], search.pos[qb]
+            if pa < 0 or pb < 0 or search.dist[pa][pb] != 1:
+                continue
+        mask |= 1 << gid
+        search.gate_block[gid] = block
+    search.exec_mask = mask
+
+
+def reference_lower_bound(search) -> int:
+    """The exact solver's lower bound as first written, by a scan of every
+    gate: the largest ``dist - 1`` over the unexecuted two-qubit gates whose
+    qubits are both bound."""
+    worst = 0
+    for gid in range(search.num_gates):
+        if search.exec_mask >> gid & 1 or not search.is2[gid]:
+            continue
+        qa, qb = search.gate_qubits[gid]
+        pa, pb = search.pos[qa], search.pos[qb]
+        if pa >= 0 and pb >= 0:
+            worst = max(worst, search.dist[pa][pb] - 1)
+    return worst
+
+
+def reference_pick_bindable(search) -> int | None:
+    """The exact solver's next gate to bind as first written, by a scan of
+    every gate: the lowest ready two-qubit gate, neither executed nor
+    deferred, with an unbound qubit."""
+    executed = search.exec_mask
+    skip = executed | search.deferred
+    for gid in range(search.num_gates):
+        if not search.is2[gid] or skip >> gid & 1 or search.pred_masks[gid] & ~executed:
+            continue
+        qa, qb = search.gate_qubits[gid]
+        if search.pos[qa] < 0 or search.pos[qb] < 0:
+            return gid
+    return None
+
+
 @dataclass(frozen=True)
 class AStarState:
     """One routing search state, for the reference heuristic below."""

@@ -371,3 +371,18 @@ def test_queko_bench_counts_rows(tmp_path):
     )
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 1 + 2 * 2
+
+
+@pytest.mark.parametrize("where", ["circuit", "device", "solution"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, where):
+    # the JSON parser recurses once per level, so this nesting overflows it
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    argv = {
+        "circuit": ["--device", "grid:2", "--circuit", str(deep), "--mode", "srefine"],
+        "device": ["--device", f"file:{deep}", "--gen", "chain:n=4", "--mode", "srefine"],
+        "solution": ["--mode", "verify", "--solution", str(deep)],
+    }[where]
+    assert main(["compile", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nested too deeply" in err

@@ -7,13 +7,17 @@ from conftest import (
     random_connected_graph,
     random_gates,
     reference_closure,
+    reference_exact_closure,
+    reference_lower_bound,
     reference_optimal_oracle,
+    reference_pick_bindable,
     reference_state_key,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlqls import Circuit, CouplingGraph, Gate, gen_qaoa, make_device
+from mlqls import exact
 from mlqls.exact import (
     _NODES_PER_SECOND,
     ExactConfig,
@@ -26,7 +30,7 @@ from mlqls.exact import (
     solve_exact,
 )
 from mlqls.srefine import _extend_partial, astar_insert
-from mlqls.verify import swap_count, verify
+from mlqls.verify import solution_to_json, swap_count, verify
 
 
 def random_instance(rng, num_qubits, num_gates, commutable=False):
@@ -282,12 +286,16 @@ def test_state_key_matches_reference(instance):
 
 class _ClosureRecorder(_BlockSearch):
     """A search that checks every closure against the in-degree reference:
-    from the executed gates before it, at the current bindings."""
+    from the executed gates before it, at the current bindings, whatever
+    gates it was told were touched. It also checks that the bound carried
+    down from block node to block node equals the full-scan bound."""
 
-    def _closure(self, block):
+    def _closure(self, block, touched, bound):
         before = self.exec_mask
-        super()._closure(block)
+        bound = super()._closure(block, touched, bound)
         assert self.exec_mask == reference_closure(self.circuit, self.graph, self.pos, before)
+        assert bound == reference_lower_bound(self)
+        return bound
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -300,6 +308,63 @@ def test_closure_matches_reference(instance):
             search.search(max_blocks=blocks, swap_cap=len(c.gates), node_limit=3000)
     except _Deadline:
         pass
+
+
+class _FullScanSearch(_BlockSearch):
+    """The search with the full-scan closure, bound and pick it was first
+    written with: every block node scans every gate."""
+
+    def _closure(self, block, touched, bound):
+        reference_exact_closure(self, block)
+        return reference_lower_bound(self)
+
+    def _lower_bound(self):
+        return reference_lower_bound(self)
+
+    def _pick_bindable(self):
+        return reference_pick_bindable(self)
+
+
+@st.composite
+def dense_instances(draw):
+    """path:6, grid:3 or grid:4, and 8 to 20 random gates, one in five
+    single-qubit, on all of its qubits or up to two fewer."""
+    devices = [make_device("path", 6), make_device("grid", 3), make_device("grid", 4)]
+    graph = draw(st.sampled_from(devices))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    nq = draw(st.integers(graph.num_physical - 2, graph.num_physical))
+    return graph, Circuit(nq, random_gates(rng, nq, draw(st.integers(8, 20))), draw(st.booleans()))
+
+
+def _assert_matches_full_scan_search(instance, nodes):
+    graph, c = instance
+    budget = nodes / _NODES_PER_SECOND
+    cfg = ExactConfig(post_first_solution_budget=budget, overall_budget=budget)
+    res = solve_exact(c, graph, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_BlockSearch", _FullScanSearch)
+        ref = solve_exact(c, graph, cfg)
+    assert solution_to_json(res.solution) == solution_to_json(ref.solution)
+    assert (res.proven_optimal, res.timed_out, res.nodes) == (
+        ref.proven_optimal,
+        ref.timed_out,
+        ref.nodes,
+    )
+
+
+# Nearly every one of these needs no SWAP; they cover single-qubit gates,
+# tiny devices and misnamed paths.
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_instances(one_qubit_gates=True), st.sampled_from([10, 100, 1000]))
+def test_solve_exact_matches_full_scan_search(instance, nodes):
+    _assert_matches_full_scan_search(instance, nodes)
+
+
+# 123 of these 150 solves run out of nodes.
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(dense_instances(), st.sampled_from([100, 1000, 4000]))
+def test_solve_exact_matches_full_scan_search_when_budget_runs_out(instance, nodes):
+    _assert_matches_full_scan_search(instance, nodes)
 
 
 def test_oracle_ignores_dag_faults(path5, monkeypatch):

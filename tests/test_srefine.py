@@ -873,6 +873,67 @@ def test_expand_matches_reference(instance):
         node = children[rng.randrange(len(children))]
 
 
+CLOSED_FIELDS = ("done_here", "exec_mask", "ready", "onehop", "rsum", "osum", "psum", "h")
+
+
+def check_children_without_close(ctx, node, children) -> int:
+    """Check that each child that runs no gate, or only gates without
+    successors, which ``children`` builds without ``_close``, has the state
+    that ``_close`` gives it from the parent's sets. Returns how many of
+    those children ran gates."""
+    dist, succs = ctx.dist, ctx.dag.succs
+    ran = 0
+    for child in children:
+        if any(succs[gid] for gid in child.done_here):
+            continue  # built by _close
+        closed = _Node()
+        closed.pos = child.pos
+        closed.exec_mask = node.exec_mask
+        rsum = sum(dist[child.pos[ctx.q2[g][0]]][child.pos[ctx.q2[g][1]]] for g in node.ready)
+        ctx._close(closed, node.ready, node.onehop, rsum, child.done_here)
+        fields = [getattr(child, name) for name in CLOSED_FIELDS]
+        assert fields == [getattr(closed, name) for name in CLOSED_FIELDS]
+        ran += bool(child.done_here)
+    return ran
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(routing_walks())
+def test_children_without_close_match_close(instance):
+    graph, circuit, start, seed = instance
+    ctx = _RouteContext(circuit, graph)
+    node = ctx.make_root(start)
+    rng = random.Random(seed)
+    for _ in range(40):
+        children = ctx.expand(node)
+        check_children_without_close(ctx, node, children)
+        if not children:
+            break
+        node = children[rng.randrange(len(children))]
+
+
+@pytest.mark.parametrize("commutable", [False, True])
+def test_children_without_close_match_close_during_search(monkeypatch, grid4, commutable):
+    # On both kinds of circuit, searches build children that run gates
+    # without _close: every gate of a commutable circuit, and the last
+    # gates on their qubits of a non-commutable one.
+    ran = []
+    real_expand = _RouteContext.expand
+
+    def checked(ctx, node):
+        children = real_expand(ctx, node)
+        ran.append(check_children_without_close(ctx, node, children))
+        return children
+
+    monkeypatch.setattr(_RouteContext, "expand", checked)
+    rng = random.Random(3)
+    for _ in range(3):
+        c = Circuit(12, random_gates(rng, 12, 30), commutable)
+        sol = astar_insert(c, grid4, Mapping(tuple(rng.sample(range(16), 12))))
+        assert verify(c, grid4, sol).ok
+    assert sum(ran) > 100
+
+
 @pytest.mark.parametrize("commutable", [False, True])
 def test_expand_matches_reference_during_search(monkeypatch, grid4, commutable):
     # Searches on grid:4 with free positions: every expansion of every

@@ -1,15 +1,18 @@
-"""Compare the CPU time of two checkouts' annealing and routing kernels on
-the same recorded inputs, in one process.
+"""Compare the CPU time of two checkouts' annealing, routing and exact
+kernels on the same recorded inputs, in one process.
 
     python3 tools/kernel_ab.py OTHER_CHECKOUT --workload qaoa-vcycle --seeds 1,2
 
 The tool loads each tree's ``src/mlqls`` under its own package name. It
 compiles the workload's perfbench instance sets for the given seeds with
 this checkout's package, once each, and records the input of every
-``srefine.sa_initial_mapping`` and ``srefine.forward_backward`` call. Then
-it replays each input ``REPLAYS`` times in both trees, alternating which
-tree goes first from replay to replay, asserts that both give the same
-output, and prints per kernel the calls, each tree's CPU seconds
+``srefine.sa_initial_mapping``, ``srefine.forward_backward`` and
+``exact.solve_exact`` call (the V cycle's coarse solves and the exact-small
+instances). Then it replays each input ``REPLAYS`` times in both trees,
+alternating which tree goes first from replay to replay, asserts that both
+give the same output (for ``solve_exact``: the solution JSON,
+``proven_optimal``, ``timed_out`` and ``nodes``), and prints per kernel the
+calls, each tree's CPU seconds
 (``time.process_time``, summed over every replay), the ratio of those
 totals and the median of the per-input ratios. The total ratio weighs the
 long calls; the median is robust to one input that a noisy neighbour
@@ -38,7 +41,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
 MODULES = ("model", "verify", "cluster", "srefine", "exact", "flow")
-KERNELS = ("sa_initial_mapping", "forward_backward")
+KERNELS = ("sa_initial_mapping", "forward_backward", "solve_exact")
 REPLAYS = 3  # replays of each recorded input per tree
 
 
@@ -80,13 +83,27 @@ def record(lib, workload: str, seeds: list[int]) -> list[tuple[str, dict]]:
         )))
         return real_fb(circuit, graph, m0)
 
+    real_exact = lib.exact.solve_exact
+
+    def exact(circuit, graph, cfg=None, warm_start=None):
+        calls.append(("solve_exact", dict(
+            circuit=lib.model.circuit_to_json(circuit),
+            device=lib.model.device_to_json(graph),
+            budgets=None if cfg is None else (cfg.post_first_solution_budget, cfg.overall_budget),
+            warm_start=None if warm_start is None else lib.verify.solution_to_json(warm_start),
+        )))
+        return real_exact(circuit, graph, cfg, warm_start)
+
+    # The flow calls the name it imported; exact-small calls the module's.
     srefine.sa_initial_mapping, srefine.forward_backward = sa, fb
+    lib.flow.solve_exact = lib.exact.solve_exact = exact
     try:
         for seed in seeds:
             for inst in workloads.build(lib, workload, seed):
                 workloads.compile_instance(lib, inst)
     finally:
         srefine.sa_initial_mapping, srefine.forward_backward = real_sa, real_fb
+        lib.flow.solve_exact = lib.exact.solve_exact = real_exact
     return calls
 
 
@@ -109,24 +126,35 @@ class Replayer:
     def run(self, kernel: str, args: dict) -> tuple[float, object]:
         """CPU seconds of one call, and its output as plain data."""
         lib = self.lib
-        call_args = [
-            self._built("circuit", args["circuit"]),
-            self._built("device", args["device"]),
-            lib.model.Mapping(tuple(args["start"])),
-        ]
-        if kernel == "sa_initial_mapping":
-            regions = None
-            if args["regions"] is not None:
-                regions = lib.cluster.MappingRegion(tuple(frozenset(r) for r in args["regions"]))
-            rng = random.Random()
-            rng.setstate(args["rng"])
-            call_args += [regions, rng]
+        call_args = [self._built("circuit", args["circuit"]), self._built("device", args["device"])]
+        if kernel == "solve_exact":
+            budgets, warm_start = args["budgets"], args["warm_start"]
+            call_args += [
+                None if budgets is None else lib.exact.ExactConfig(*budgets),
+                None if warm_start is None else lib.verify.solution_from_json(warm_start),
+            ]
+            module = lib.exact
+        else:
+            call_args.append(lib.model.Mapping(tuple(args["start"])))
+            if kernel == "sa_initial_mapping":
+                regions = None
+                if args["regions"] is not None:
+                    regions = lib.cluster.MappingRegion(
+                        tuple(frozenset(r) for r in args["regions"])
+                    )
+                rng = random.Random()
+                rng.setstate(args["rng"])
+                call_args += [regions, rng]
+            module = lib.srefine
         gc.collect()
         t0 = time.process_time()
-        out = getattr(lib.srefine, kernel)(*call_args)
+        out = getattr(module, kernel)(*call_args)
         seconds = time.process_time() - t0
         if kernel == "sa_initial_mapping":
             return seconds, out.assignment
+        if kernel == "solve_exact":
+            flags = (out.proven_optimal, out.timed_out, out.nodes)
+            return seconds, (lib.verify.solution_to_json(out.solution), *flags)
         return seconds, lib.verify.solution_to_json(out)
 
 
