@@ -49,26 +49,52 @@ _SOLVE_MODES = ("srefine", "vcycle", "exact")
 
 
 def parse_device_spec(spec: str) -> CouplingGraph:
-    if spec.startswith("grid:"):
-        return make_device("grid", int(spec.split(":")[1]))
-    if spec.startswith("path:"):
-        return make_device("path", int(spec.split(":")[1]))
+    """The device a ``--device`` spec names; ValueError naming the spec when
+    it is malformed."""
+    kind, sep, arg = spec.partition(":")
+    if sep and kind in ("grid", "path"):
+        return make_device(kind, _spec_value(spec, "size", arg, int))
     if spec in ("sycamore", "sycamore54"):
         return make_device("sycamore54")
     if spec in ("eagle", "eagle127"):
         return make_device("eagle127")
-    if spec.startswith("file:"):
-        return load_device(spec.split(":", 1)[1])
+    if sep and kind == "file":
+        return load_device(arg)
     raise ValueError(f"unknown device spec {spec!r}")
 
 
-def _parse_kv(text: str) -> dict[str, str]:
+def _spec_value(spec: str, name: str, text: str, kind: type):
+    """``text`` read as an int (decimal digits only) or a float; ValueError
+    naming the spec and the field ``name`` otherwise."""
+    try:
+        if kind is int and not text.isdecimal():
+            raise ValueError
+        return kind(text)
+    except ValueError:
+        problem = f"{name} must be {kind.__name__}, not {text!r}"
+        raise ValueError(f"malformed spec {spec!r}: {problem}") from None
+
+
+def _parse_kv(spec: str, text: str, keys: tuple[str, ...]) -> dict[str, str]:
+    """The ``key=value`` pairs of a generator spec's ``text``; ValueError
+    naming the spec on a pair without ``=``, a key not in ``keys`` or a
+    repeated key."""
     out = {}
     for part in text.split(","):
         if not part:
             continue
-        key, _, value = part.partition("=")
-        out[key.strip()] = value.strip()
+        key, sep, value = part.partition("=")
+        key = key.strip()
+        if not sep:
+            problem = f"{part!r} has no '='"
+        elif key not in keys:
+            problem = f"unknown key {key!r}"
+        elif key in out:
+            problem = f"repeated key {key!r}"
+        else:
+            out[key] = value.strip()
+            continue
+        raise ValueError(f"malformed spec {spec!r}: {problem} (keys: {', '.join(keys)})")
     return out
 
 
@@ -84,16 +110,17 @@ def build_circuit(
                 return circuit_from_json(load_json(fh))
             return parse_qasm(fh.read())
     kind, _, rest = gen.partition(":")
-    kv = _parse_kv(rest)
     if kind == "queko":
-        depth = int(kv.get("depth", "10"))
-        density = float(kv.get("density", "0.5"))
+        kv = _parse_kv(gen, rest, ("depth", "density"))
+        depth = _spec_value(gen, "depth", kv.get("depth", "10"), int)
+        density = _spec_value(gen, "density", kv.get("density", "0.5"), float)
         circuit, _ = gen_queko(device, depth, density, seed)
         return circuit
     if kind in ("qaoa", "chain"):
+        kv = _parse_kv(gen, rest, ("n",))
         if "n" not in kv:
             raise ValueError(f"generator {kind!r} needs n=N")
-        n = int(kv["n"])
+        n = _spec_value(gen, "n", kv["n"], int)
         return gen_qaoa(n, seed) if kind == "qaoa" else gen_chain(n)
     raise ValueError(f"unknown generator {kind!r}")
 

@@ -12,19 +12,25 @@ routing search.
 
 The annealing cost charges each two-qubit gate its mapped distance, decayed by
 circuit position, plus a related-qubit term pulling consecutively-interacting
-qubits together. The annealer keeps each term's current value, so a move
-computes only the new values of the terms on its two qubits. Routing searches
-over SWAP sequences with a trimmed best-first frontier, scoring states by a
-four-term normalized lookahead heuristic; forward and backward passes then
-iterate while the SWAP count keeps improving. One loop scores each candidate
-SWAP in one pass over the two moved qubits' ready and one-hop gates, read
-from a table built once per expansion, applies the SWAP filter (some ready
-gate gets strictly closer) and builds the child. A child runs the closure
-only when a gate it runs has successors in the dependency DAG; otherwise it
-runs exactly the ready gates the SWAP made adjacent, which is every child of
-a commutable circuit. Every SWAP passes the filter: when trimming strands a
-search, the closest ready gate is walked together along a shortest path,
-and the search starts again from there.
+qubits together. When every term weighs 1, as on every commutable circuit, a
+move's cost change is an integer summed over the moved qubits' partner lists;
+otherwise the annealer keeps each term's current value, and a move computes
+only the new values of the terms on its two qubits, summed in a fixed order.
+Routing searches over SWAP sequences with a trimmed best-first frontier,
+scoring states by a four-term normalized lookahead heuristic in the manner of
+SABRE (Li, Ding & Xie, ASPLOS 2019); forward and backward passes then iterate
+while the SWAP count keeps improving. Candidate SWAPs are built and scored
+much as LightSABRE does (Zou et al., arXiv:2409.08368). One loop
+scores each candidate SWAP in one pass over the two moved qubits' ready gates,
+read from tables built once per expansion, and applies the SWAP filter (some
+ready gate gets strictly closer). A child runs the closure, and is built as a
+node at once, only when a gate it runs has successors in the dependency DAG;
+otherwise it runs exactly the ready gates the SWAP made adjacent, which is
+every child of a commutable circuit, and it stays a small record until the
+search pops it. Most children are trimmed or found again before that, so
+they are never built. Every SWAP passes the filter: when trimming strands a
+search, the closest ready gate is walked together along a shortest path, and
+the search starts again from there.
 """
 
 from __future__ import annotations
@@ -113,6 +119,18 @@ def _terms_cost(terms: list[tuple[float, int, int]], pos, dist) -> float:
     return sum(w * dist[pos[a]][pos[b]] for w, a, b in terms)
 
 
+def _unit_partners(terms: list[tuple[float, int, int]], n: int) -> list[list[int]] | None:
+    """Per qubit, the other qubit of each term on it, one entry per term,
+    and an empty spare row for index -1; None unless every term weighs 1."""
+    if any(w != 1 for w, _, _ in terms):
+        return None
+    partners: list[list[int]] = [[] for _ in range(n + 1)]
+    for _, a, b in terms:
+        partners[a].append(b)
+        partners[b].append(a)
+    return partners
+
+
 def sa_initial_mapping(
     circuit: Circuit,
     graph: CouplingGraph,
@@ -143,73 +161,66 @@ def sa_initial_mapping(
             raise ValueError("every region must be non-empty")
         region_draws = [(cells, len(cells), len(cells).bit_length()) for cells in region_lists]
     dist = graph.dist
-    # Term i charges weight[i] times the distance between qubits qa[i] and
-    # qb[i]; val[i] holds that product at the current positions.
     terms = _cost_terms(circuit)
-    weight = [w for w, _, _ in terms]
-    qa = [a for _, a, _ in terms]
-    qb = [b for _, _, b in terms]
-    by_qubit: list[list[int]] = [[] for _ in range(n)]
-    for i, (_, a, b) in enumerate(terms):
-        by_qubit[a].append(i)
-        by_qubit[b].append(i)
+    # When every term weighs 1, which every term of a commutable circuit
+    # does, a move's delta is an integer read off per-qubit partner lists,
+    # and any order sums it exactly. Weighted terms keep each term's value
+    # at the current positions, and a move sums its terms' new and old
+    # values in a fixed order, since floats round by the order they add in.
+    partners = _unit_partners(terms, n)
+    unit = partners is not None
 
-    # pos and the per-qubit rows of affected carry a spare last slot, which
-    # index -1 (no qubit at the target) reaches, so the moves below need no
-    # branch for it.
+    # pos and the per-qubit rows of partners and affected carry a spare last
+    # slot, which index -1 (no qubit at the target) reaches, so the moves
+    # below need no branch for it.
     pos = [*start.assignment, -1]
     occ = [-1] * num_p
     for q, p in enumerate(start.assignment):
         occ[p] = q
-    val = [w * dist[pos[a]][pos[b]] for w, a, b in terms]
-    val_at = val.__getitem__
-    cur = sum(val)
+    if unit:
+        cur = sum(dist[pos[a]][pos[b]] for _, a, b in terms)
+    else:
+        # Term i charges weight[i] times the distance between qubits qa[i]
+        # and qb[i]; val[i] holds that product at the current positions.
+        weight = [w for w, _, _ in terms]
+        qa = [a for _, a, _ in terms]
+        qb = [b for _, _, b in terms]
+        by_qubit: list[list[int]] = [[] for _ in range(n)]
+        for i, (_, a, b) in enumerate(terms):
+            by_qubit[a].append(i)
+            by_qubit[b].append(i)
+        val = [w * dist[pos[a]][pos[b]] for w, a, b in terms]
+        val_at = val.__getitem__
+        cur = sum(val)
+        # affected[q][r]: the ids of the terms on q or r, for a move of q
+        # onto r's position (r = -1 for a free one), filled on first use.
+        # Each tuple keeps the iteration order of the set it is built from,
+        # so the sums below add in the order the set-based scoring did.
+        affected: list[list[tuple[int, ...] | None]] = [[None] * (n + 1) for _ in range(n)]
     best_cost = cur
     best_pos = pos[:n]
     iters = _SA_MOVES_PER_QUBIT_PAIR * n * n
-    # affected[q][r]: the ids of the terms on q or r, for a move of q onto
-    # r's position (r = -1 for a free one), filled on first use. Each tuple
-    # keeps the iteration order of the set it is built from, so the sums
-    # below add in the order the set-based scoring did.
-    affected: list[list[tuple[int, ...] | None]] = [[None] * (n + 1) for _ in range(n)]
-
-    def affected_terms(q: int, r: int) -> tuple[int, ...]:
-        ids = set(by_qubit[q])
-        if r != -1:
-            ids.update(by_qubit[r])
-        row = affected[q]
-        row[r] = tuple(ids)
-        return row[r]
-
-    probe_rng = random.Random(rng.randrange(1 << 62))
-    uphill = []
-    for _ in range(_SA_PROBE_MOVES):
-        q = probe_rng.randrange(n)
-        p = probe_rng.randrange(num_p)
-        old_p = pos[q]
-        if p == old_p:
-            continue
-        r = occ[p]
-        ids = affected[q][r] or affected_terms(q, r)
-        pos[q], pos[r] = p, old_p
-        after = [weight[i] * dist[pos[qa[i]]][pos[qb[i]]] for i in ids]
-        pos[q], pos[r] = old_p, p
-        # sum(), not +=, because sum() of floats is compensated from Python 3.12
-        d = sum(after) - sum(map(val_at, ids))
-        if d > 0:
-            uphill.append(d)
-    temp = (sum(uphill) / len(uphill)) / math.log(2) if uphill else 1.0
     cooling = _SA_FINAL_TEMP_RATIO ** (1.0 / max(iters, 1))
 
-    getrandbits, random_ = rng.getrandbits, rng.random
+    # The first _SA_PROBE_MOVES moves are probes, drawn from their own
+    # generator with no region bias and never kept; the mean of their uphill
+    # deltas sets the initial temperature at move 0.
+    probe_rng = random.Random(rng.randrange(1 << 62))
+    getrandbits, draws = probe_rng.getrandbits, None
+    random_ = rng.random
     exp = math.exp
     kn, kp = n.bit_length(), num_p.bit_length()
-    for _ in range(iters):
+    uphill = []
+    temp = 0.0  # set at move 0
+    for move in range(-_SA_PROBE_MOVES, iters):
+        if move == 0:
+            getrandbits, draws = rng.getrandbits, region_draws
+            temp = (sum(uphill) / len(uphill)) / math.log(2) if uphill else 1.0
         q = getrandbits(kn)
         while q >= n:
             q = getrandbits(kn)
-        if region_draws is not None and random_() >= _REGION_BIAS:
-            cells, size, k = region_draws[q]
+        if draws is not None and random_() >= _REGION_BIAS:
+            cells, size, k = draws[q]
             j = getrandbits(k)
             while j >= size:
                 j = getrandbits(k)
@@ -221,15 +232,42 @@ def sa_initial_mapping(
         old_p = pos[q]
         if p != old_p:
             r = occ[p]
-            ids = affected[q][r] or affected_terms(q, r)
-            pos[q], pos[r] = p, old_p
-            after = [weight[i] * dist[pos[qa[i]]][pos[qb[i]]] for i in ids]
-            delta = sum(after) - sum(map(val_at, ids))
-            if delta <= 0 or random_() < exp(-delta / temp):
+            if unit:
+                # The sum over q's partners v != r of dist[p][pos[v]] -
+                # dist[old_p][pos[v]], and the mirror sum over r's partners
+                # v != q. With r moved first, a term between q and r adds
+                # +d on q's side and -d on r's, so the loops need no test.
+                pos[r] = old_p
+                dn, do = dist[p], dist[old_p]
+                delta = 0
+                for v in partners[q]:
+                    pv = pos[v]
+                    delta += dn[pv] - do[pv]
+                for v in partners[r]:
+                    pv = pos[v]
+                    delta += do[pv] - dn[pv]
+                pos[q] = p
+            else:
+                ids = affected[q][r]
+                if ids is None:
+                    ids = set(by_qubit[q])
+                    if r != -1:
+                        ids.update(by_qubit[r])
+                    affected[q][r] = ids = tuple(ids)
+                pos[q], pos[r] = p, old_p
+                after = [weight[i] * dist[pos[qa[i]]][pos[qb[i]]] for i in ids]
+                # sum(), not +=, because sum() of floats is compensated from Python 3.12
+                delta = sum(after) - sum(map(val_at, ids))
+            if move < 0:
+                if delta > 0:
+                    uphill.append(delta)
+                pos[q], pos[r] = old_p, p
+            elif delta <= 0 or random_() < exp(-delta / temp):
                 occ[p] = q
                 occ[old_p] = r
-                for i, v in zip(ids, after):
-                    val[i] = v
+                if not unit:
+                    for i, v in zip(ids, after):
+                        val[i] = v
                 cur += delta
                 if cur < best_cost:
                     best_cost = cur
@@ -313,7 +351,6 @@ class _Node:
         "edge",
         "done_here",
         "code",
-        "key",
     )
 
 
@@ -451,20 +488,25 @@ class _RouteContext:
             h += (_ALPHA * osum + _BETA * psum) / (len(onehop) * nq)
         node.h = h + _GAMMA * (self.mask2 & ~exec_mask).bit_count()
 
-    def children(self, node: _Node, edges: Iterable[tuple[int, int]]) -> list[_Node]:
+    def children(self, node: _Node, edges: Iterable[tuple[int, int]]) -> list[_Node | tuple]:
         """The states after swapping positions ``a < b`` for each ``(a, b)``
         in ``edges``, in order, for the swaps that pass the SWAP filter: some
-        ready gate gets strictly closer. ``expand`` and the walk of
+        ready gate gets strictly closer. A child that runs a gate with DAG
+        successors is a built ``_Node``; any other child is a record
+        ``(edge, code, exec_mask, executed, rsum, osum, psum, h)``, which
+        holds what the search keys, dedups and orders it by, and which
+        ``build`` turns into its node. ``_episode`` and the walk of
         ``_force_nearest_gate`` share this one loop.
 
-        Only ready and one-hop gates are scored, so one table per expansion
-        lists, per qubit, its ready and one-hop gates in gate order, each
-        with its other qubit and whether it is ready. Each swap is scored in
-        one pass over the two moved qubits' rows, against the parent's
-        positions: the changes of the ready and one-hop distance sums, the
+        Only ready and one-hop gates are scored, so two tables per
+        expansion list, per qubit, its ready gates in gate order and its
+        one-hop gates, with their partners' positions. Each swap is scored
+        against the parent's positions in one pass over the two moved
+        qubits' ready rows: the change of the ready distance sum, the
         filter, and the ready gates the swap makes adjacent, in the order
-        the closure runs them. A child that runs a gate with DAG successors
-        gets its sets and estimate from ``_close``. The closure of any other
+        the closure runs them. Only a swap that passes reads the one-hop
+        rows. A child that runs a gate with DAG successors gets its sets and
+        estimate from ``_close``. The closure of any other
         child runs just the ready gates the swap made adjacent, none of
         which has a one-hop child, so the child keeps the parent's one-hop
         set and shifts its sums. One that runs no gate also shares the
@@ -479,112 +521,137 @@ class _RouteContext:
         dist, pos, occ, code0 = self.dist, node.pos, node.occ, node.code
         ready, onehop, q2 = node.ready, node.onehop, self.q2
         related_by_qubit, pos_shift = self.related_by_qubit, self.pos_shift
-        exec_mask, g_cost = node.exec_mask, node.g_cost + 1
+        exec_mask = node.exec_mask
         rsum0, osum0, psum0 = node.rsum, node.osum, node.psum
         leaves, nq, mask2 = self.leaves, self.nq, self.mask2
         # the estimate's denominators and gate count for a child that runs no gate
-        ready_den = len(ready) * nq
+        num_ready = len(ready)
+        ready_den = num_ready * nq
         onehop_den = len(onehop) * nq
         unexecuted = _GAMMA * (mask2 & ~exec_mask).bit_count()
-        # act[q]: (gate, other qubit, is ready) for q's ready and one-hop
-        # gates, which are disjoint sets; a qubit with none, or -1, is absent
-        act: dict[int, list[tuple[int, int, bool]]] = {}
-        for gid in sorted(ready | onehop):
+        # the positions after a swap, for the one-hop related pairs; its
+        # spare last slot takes the writes for an empty position (-1)
+        spos = [*pos, -1] if onehop else None
+        # Per qubit, and in a spare last row for -1 (no qubit): its ready
+        # gates in gate order, each with its partner's position and its
+        # distance, and its one-hop gates' partners' positions. Ready gates
+        # do not join the two moved qubits, so their partners stay put.
+        ready_at: list[list[tuple[int, int, int]]] = [[] for _ in range(nq + 1)]
+        for gid in sorted(ready):
             x, y = q2[gid]
-            is_ready = gid in ready
-            if x in act:
-                act[x].append((gid, y, is_ready))
-            else:
-                act[x] = [(gid, y, is_ready)]
-            if y in act:
-                act[y].append((gid, x, is_ready))
-            else:
-                act[y] = [(gid, x, is_ready)]
-        out = []
+            px, py = pos[x], pos[y]
+            d = dist[px][py]
+            ready_at[x].append((gid, py, d))
+            ready_at[y].append((gid, px, d))
+        if onehop:
+            onehop_at: list[list[int]] = [[] for _ in range(nq + 1)]
+            for gid in onehop:
+                x, y = q2[gid]
+                onehop_at[x].append(pos[y])
+                onehop_at[y].append(pos[x])
+        out: list[_Node | tuple] = []
         for edge in edges:
             a, b = edge
             da, db = dist[a], dist[b]
             qa, qb = occ[a], occ[b]
             improves = False
-            drsum = dosum = 0
+            drsum = 0
             executable = ()
-            for gid, other, is_ready in act.get(qa, ()):  # qa moves a -> b
-                po = pos[other]
-                if is_ready:
-                    d, d0 = db[po], da[po]
-                    drsum += d - d0
-                    if d < d0:
-                        improves = True
-                    if d == 1:
-                        executable += (gid,)
-                elif other != qb:
-                    dosum += db[po] - da[po]
-            for gid, other, is_ready in act.get(qb, ()):  # qb moves b -> a
-                po = pos[other]
-                if is_ready:
-                    d, d0 = da[po], db[po]
-                    drsum += d - d0
-                    if d < d0:
-                        improves = True
-                    if d == 1:
-                        executable += (gid,)
-                elif other != qa:
-                    dosum += da[po] - db[po]
+            for gid, po, d0 in ready_at[qa]:  # qa moves a -> b
+                d = db[po]
+                drsum += d - d0
+                if d < d0:
+                    improves = True
+                if d == 1:
+                    executable += (gid,)
+            for gid, po, d0 in ready_at[qb]:  # qb moves b -> a
+                d = da[po]
+                drsum += d - d0
+                if d < d0:
+                    improves = True
+                if d == 1:
+                    executable += (gid,)
             if not improves:
                 continue
-            child = _Node()
-            child.pos = cpos = pos.copy()
-            child.occ = cocc = occ.copy()
-            cocc[a], cocc[b] = qb, qa
             code = code0
             if qa != -1:
-                cpos[qa] = b
                 code += (b - a) << pos_shift[qa]
             if qb != -1:
-                cpos[qb] = a
                 code += (a - b) << pos_shift[qb]
-            child.code = code
-            child.parent = node
-            child.edge = edge
-            child.g_cost = g_cost
             if not executable:
-                child.done_here = []
-                child.exec_mask = exec_mask
-                child.ready = ready
-                child.rsum = rsum = rsum0 + drsum
+                cmask = exec_mask
+                rsum = rsum0 + drsum
                 h = rsum / ready_den if ready else 0.0
                 h_gates = unexecuted
             elif not leaves.issuperset(executable):  # a gate that runs has successors
+                child = self._child_node(node, edge, code)
                 child.exec_mask = exec_mask
                 self._close(child, ready, onehop, rsum0 + drsum, executable)
                 out.append(child)
                 continue
             else:  # the closure would run the executable gates and no more
-                child.done_here = list(executable)
                 cmask = exec_mask
                 for gid in executable:
                     cmask |= 1 << gid
-                child.exec_mask = cmask
-                child.ready = cready = ready.difference(executable)
-                child.rsum = rsum = rsum0 + drsum - len(executable)
-                h = rsum / (len(cready) * nq) if cready else 0.0
+                rsum = rsum0 + drsum - len(executable)
+                left = num_ready - len(executable)
+                h = rsum / (left * nq) if left else 0.0
                 h_gates = _GAMMA * (mask2 & ~cmask).bit_count()
-            # no gate joined or left the one-hop set: shift its sums
-            child.onehop = onehop
-            child.osum = osum = osum0 + dosum
+            # no gate joined or left the one-hop set: shift its sums; a gate
+            # on both moved qubits keeps its distance
+            osum = osum0
             psum = psum0
             if onehop:
+                for po in onehop_at[qa]:
+                    if po != b:
+                        osum += db[po] - da[po]
+                for po in onehop_at[qb]:
+                    if po != a:
+                        osum += da[po] - db[po]
+                spos[qa], spos[qb] = b, a
                 for q in (qa, qb):
                     if q == -1:
                         continue
                     for gid, x, y in related_by_qubit[q]:
                         if gid in onehop:
-                            psum += dist[cpos[x]][cpos[y]] - dist[pos[x]][pos[y]]
+                            psum += dist[spos[x]][spos[y]] - dist[pos[x]][pos[y]]
+                spos[qa], spos[qb] = a, b
                 h += (_ALPHA * osum + _BETA * psum) / onehop_den
-            child.psum = psum
-            child.h = h + h_gates
-            out.append(child)
+            out.append((edge, code, cmask, executable, rsum, osum, psum, h + h_gates))
         return out
+
+    def _child_node(self, node: _Node, edge: tuple[int, int], code: int) -> _Node:
+        """A child of ``node`` after the swap ``edge``, with its positions,
+        code, links and cost; its gates, sets and sums are the caller's."""
+        a, b = edge
+        child = _Node()
+        child.pos = cpos = node.pos.copy()
+        child.occ = cocc = node.occ.copy()
+        qa, qb = cocc[a], cocc[b]
+        cocc[a], cocc[b] = qb, qa
+        if qa != -1:
+            cpos[qa] = b
+        if qb != -1:
+            cpos[qb] = a
+        child.code = code
+        child.parent = node
+        child.edge = edge
+        child.g_cost = node.g_cost + 1
+        return child
+
+    def build(self, node: _Node, child: _Node | tuple) -> _Node:
+        """The node of ``child``, one of the children of ``node``: a record
+        is built from the parent's state, and a node is returned as is."""
+        if type(child) is _Node:
+            return child
+        edge, code, exec_mask, executed, rsum, osum, psum, h = child
+        built = self._child_node(node, edge, code)
+        built.exec_mask = exec_mask
+        built.done_here = list(executed)
+        built.ready = node.ready.difference(executed) if executed else node.ready
+        built.onehop = node.onehop
+        built.rsum, built.osum, built.psum, built.h = rsum, osum, psum, h
+        return built
 
     # -- expansion ----------------------------------------------------------
 
@@ -609,11 +676,6 @@ class _RouteContext:
             ids.update(edge_ids_at[pos[y]])
         edges = self.edges
         return [edges[i] for i in sorted(ids)]
-
-    def expand(self, node: _Node) -> list[_Node]:
-        """The children of ``node`` over its candidate edges, in edge order,
-        for the swaps that pass the SWAP filter."""
-        return self.children(node, self.candidate_edges(node))
 
 
 def astar_insert(circuit: Circuit, graph: CouplingGraph, m0: Mapping) -> QlsSolution:
@@ -654,31 +716,42 @@ def _episode(ctx: _RouteContext, root: _Node) -> _Node | None:
     """One best-first search run; returns its goal, or None when trimming
     empties the frontier first.
 
-    Frontier entries are ``(g + h, -executed gates, seq, node)``; ``seq``
-    makes them unique, so a trim that sorts the frontier and keeps its first
-    ``_TRIM_KEEP`` entries keeps the smallest ones in heap order. The root
-    is visited at its own path cost, so a root that a walk reached, whose
-    cost is not 0, is expanded and not skipped as a stale entry."""
+    Frontier entries are ``(g + h, -executed gates, seq, key, parent,
+    child)``, where ``child`` is what ``ctx.children`` gave: a node, or a
+    record that is built only when it is popped and not stale. Most
+    children are trimmed or found again at no lower cost before they are
+    popped, so most are never built. ``seq`` makes entries unique, so a
+    trim that sorts the frontier and keeps its first ``_TRIM_KEEP`` entries
+    keeps the smallest ones in heap order. The root has no parent and is
+    visited at its own path cost, so a root that a walk reached, whose cost
+    is not 0, is expanded and not skipped as a stale entry."""
     seq = itertools.count()
-    open_heap = [(root.h, -root.exec_mask.bit_count(), next(seq), root)]
     num_gates, all_mask = ctx.num_gates, ctx.all_mask
+    root_key = root.code << num_gates | root.exec_mask
+    open_heap = [(root.h, -root.exec_mask.bit_count(), next(seq), root_key, None, root)]
+    visited = {root_key: root.g_cost}
     heappush, heappop = heapq.heappush, heapq.heappop
-    root.key = root.code << num_gates | root.exec_mask
-    visited = {root.key: root.g_cost}
+    children, candidate_edges, build = ctx.children, ctx.candidate_edges, ctx.build
     while open_heap:
-        _, neg_done, _, node = heappop(open_heap)
-        if visited.get(node.key, node.g_cost) < node.g_cost:
-            continue
+        _, neg_done, _, key, parent, node = heappop(open_heap)
+        if parent is not None:
+            if visited[key] <= parent.g_cost:  # found again at a lower cost
+                continue
+            node = build(parent, node)
         if node.exec_mask == all_mask:
             return node
         g = node.g_cost + 1
-        for child in ctx.expand(node):
-            child.key = ckey = child.code << num_gates | child.exec_mask
-            prev = visited.get(ckey)
-            if prev is not None and prev <= g:
+        for child in children(node, candidate_edges(node)):
+            if type(child) is _Node:
+                code, cmask, h, ran = child.code, child.exec_mask, child.h, len(child.done_here)
+            else:
+                _, code, cmask, executed, _, _, _, h = child
+                ran = len(executed)
+            ckey = code << num_gates | cmask
+            if visited.get(ckey, g + 1) <= g:  # already reached at no higher cost
                 continue
             visited[ckey] = g
-            heappush(open_heap, (g + child.h, neg_done - len(child.done_here), next(seq), child))
+            heappush(open_heap, (g + h, neg_done - ran, next(seq), ckey, node, child))
         if len(open_heap) > _STATE_THRESHOLD:
             open_heap.sort()
             del open_heap[_TRIM_KEEP:]
@@ -699,7 +772,8 @@ def _force_nearest_gate(ctx: _RouteContext, node: _Node) -> _Node:
     while dist[node.pos[qa]][node.pos[qb]] > 1:
         pa, pb = node.pos[qa], node.pos[qb]
         step = min(ctx.neighbors[pa], key=lambda nb: (dist[nb][pb], nb))
-        (node,) = ctx.children(node, ((pa, step) if pa < step else (step, pa),))
+        (child,) = ctx.children(node, ((pa, step) if pa < step else (step, pa),))
+        node = ctx.build(node, child)
     return node
 
 

@@ -678,6 +678,12 @@ def reference_candidate_edges(ctx, node) -> list[tuple[int, int]]:
     return sorted(edges)
 
 
+def expand(ctx, node) -> list:
+    """The router's children of ``node`` over its candidate edges, in edge
+    order, for the swaps that pass the SWAP filter, each built."""
+    return [ctx.build(node, c) for c in ctx.children(node, ctx.candidate_edges(node))]
+
+
 def reference_episode(ctx, root):
     """One best-first search run as first written: each child's frontier
     entry reads its own ``g_cost`` and executed-gate count, and a trim keeps
@@ -686,17 +692,20 @@ def reference_episode(ctx, root):
     counts the times the frontier grew past ``_STATE_THRESHOLD``."""
     seq = itertools.count()
     open_heap = [(root.h, -root.exec_mask.bit_count(), next(seq), root)]
-    root.key = root.code << ctx.num_gates | root.exec_mask
-    visited = {root.key: root.g_cost}
+
+    def key(node):
+        return node.code << ctx.num_gates | node.exec_mask
+
+    visited = {key(root): root.g_cost}
     trims = 0
     while open_heap:
         _, _, _, node = heapq.heappop(open_heap)
-        if visited.get(node.key, node.g_cost) < node.g_cost:
+        if visited.get(key(node), node.g_cost) < node.g_cost:
             continue
         if node.exec_mask == ctx.all_mask:
             return node, trims
-        for child in ctx.expand(node):
-            child.key = ckey = child.code << ctx.num_gates | child.exec_mask
+        for child in expand(ctx, node):
+            ckey = key(child)
             prev = visited.get(ckey)
             if prev is not None and prev <= child.g_cost:
                 continue
@@ -712,14 +721,18 @@ def reference_episode(ctx, root):
 
 
 def reference_expand(ctx, node) -> list:
-    """The router's expansion as first written: for each candidate edge,
-    ``_reference_improves`` walks the moved qubits' gates for the SWAP
-    filter, then ``reference_child`` walks them again for the distance
-    deltas and runs the closure and the set update as separate calls."""
+    """The router's expansion as first written: the children over the
+    candidate edges, as ``reference_children`` builds them."""
+    return reference_children(ctx, node, reference_candidate_edges(ctx, node))
+
+
+def reference_children(ctx, node, edges) -> list:
+    """For each edge ``(a, b)``, ``_reference_improves`` walks the moved
+    qubits' gates for the SWAP filter, then ``reference_child`` walks them
+    again for the distance deltas and runs the closure and the set update
+    as separate calls."""
     return [
-        reference_child(ctx, node, a, b)
-        for a, b in reference_candidate_edges(ctx, node)
-        if _reference_improves(ctx, node, a, b)
+        reference_child(ctx, node, a, b) for a, b in edges if _reference_improves(ctx, node, a, b)
     ]
 
 

@@ -1,8 +1,10 @@
+import itertools
 import json
 
 import pytest
 
-from mlqls.cli import cmd_bench, main, parse_device_spec
+from mlqls import gen_queko
+from mlqls.cli import build_circuit, cmd_bench, main, parse_device_spec
 
 
 def test_parse_device_specs():
@@ -386,3 +388,35 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, where):
     assert main(["compile", *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "nested too deeply" in err
+
+
+@pytest.mark.parametrize(
+    "option, spec, problem",
+    [
+        ("--device", "grid:3:4", "size must be int"),
+        ("--device", "grid:x", "size must be int"),
+        ("--device", "path:", "size must be int"),
+        ("--device", "grid: 3", "size must be int"),
+        ("--gen", "queko:depth=5,densty=0.3", "unknown key 'densty'"),
+        ("--gen", "qaoa:n=8,depth=3", "unknown key 'depth'"),
+        ("--gen", "queko:depth=x", "depth must be int"),
+        ("--gen", "queko:density=high", "density must be float"),
+        ("--gen", "chain:n", "'n' has no '='"),
+        ("--gen", "chain:n=4,n=5", "repeated key 'n'"),
+    ],
+)
+def test_malformed_spec_exits_2(capsys, option, spec, problem):
+    # A spec is read whole or refused: no device is built from part of it,
+    # and no generator key is dropped. The error names the spec.
+    argv = {"--device": "grid:4", "--gen": "chain:n=4", option: spec}
+    assert main(["compile", "--mode", "srefine", *itertools.chain(*argv.items())]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(spec) in err and problem in err
+
+
+def test_well_formed_specs_are_read_whole():
+    grid4 = parse_device_spec("grid:4")
+    assert parse_device_spec("grid:12").num_physical == 144
+    circuit = build_circuit(grid4, gen="queko:depth=3,density=0.3", seed=2)
+    assert circuit == gen_queko(grid4, 3, 0.3, 2)[0]
+    assert build_circuit(grid4, gen="chain: n = 5").num_qubits == 5

@@ -222,7 +222,10 @@ class TestSolveExact:
 def small_instances(draw, one_qubit_gates=False):
     """A random connected device of at most 6 nodes (sometimes misnamed as a
     library path) and a random circuit of at most 8 gates on it, some of them
-    single-qubit gates if ``one_qubit_gates``."""
+    single-qubit gates if ``one_qubit_gates``. Few need a SWAP: 10 of the
+    500 examples of ``test_exact_agrees_with_oracle``, and 3 of the 300 of
+    the closure and of the full-scan test; ``seeded_instances`` draws ones
+    that do."""
     n = draw(st.integers(2, 6))
     rng = random.Random(draw(st.integers(0, 2**32)))
     edges = random_connected_graph(rng, n, draw(st.integers(0, n)))
@@ -243,6 +246,10 @@ def small_instances(draw, one_qubit_gates=False):
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(small_instances())
 def test_exact_agrees_with_oracle(instance):
+    check_against_oracle(instance)
+
+
+def check_against_oracle(instance) -> None:
     graph, c = instance
     res = solve_exact(c, graph, ExactConfig(post_first_solution_budget=1, overall_budget=2))
     assert verify(c, graph, res.solution).ok
@@ -250,6 +257,34 @@ def test_exact_agrees_with_oracle(instance):
     assert optimum is not None  # never fewer SWAPs than the optimum
     if res.proven_optimal:
         assert res.swaps == optimum
+
+
+@st.composite
+def seeded_instances(draw, one_qubit_gates=False):
+    """A random connected device of 4 to 6 nodes with at most one chord
+    (sometimes misnamed as a library path), and 6 to 10 gates on all of its
+    qubits or all but one. The gates come from a seeded ``random.Random``,
+    not from minimal Hypothesis draws, so most instances need a SWAP; one in
+    five is single-qubit if ``one_qubit_gates``."""
+    n = draw(st.integers(4, 6))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    edges = random_connected_graph(rng, n, draw(st.integers(0, 1)))
+    name = draw(st.sampled_from(["custom", f"path:{n}"]))
+    graph = CouplingGraph.build(n, sorted(edges), name=name)
+    nq = draw(st.integers(n - 1, n))
+    count = draw(st.integers(6, 10))
+    if one_qubit_gates:
+        gates = random_gates(rng, nq, count)
+    else:
+        gates = tuple(Gate(i, tuple(rng.sample(range(nq), 2))) for i in range(count))
+    return graph, Circuit(nq, gates, draw(st.booleans()))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seeded_instances())
+def test_exact_agrees_with_oracle_when_swaps_are_needed(instance):
+    """238 of these 300 examples need at least one SWAP."""
+    check_against_oracle(instance)
 
 
 class _KeyRecorder(_BlockSearch):
@@ -301,6 +336,17 @@ class _ClosureRecorder(_BlockSearch):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(small_instances(one_qubit_gates=True))
 def test_closure_matches_reference(instance):
+    check_closures(instance)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seeded_instances(one_qubit_gates=True))
+def test_closure_matches_reference_when_swaps_are_needed(instance):
+    """164 of these 300 examples need at least one SWAP."""
+    check_closures(instance)
+
+
+def check_closures(instance) -> None:
     graph, c = instance
     search = _ClosureRecorder(c, graph)
     try:
@@ -357,6 +403,13 @@ def _assert_matches_full_scan_search(instance, nodes):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(small_instances(one_qubit_gates=True), st.sampled_from([10, 100, 1000]))
 def test_solve_exact_matches_full_scan_search(instance, nodes):
+    _assert_matches_full_scan_search(instance, nodes)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seeded_instances(one_qubit_gates=True), st.sampled_from([10, 100, 1000]))
+def test_solve_exact_matches_full_scan_search_when_swaps_are_needed(instance, nodes):
+    """197 of these 300 examples need at least one SWAP."""
     _assert_matches_full_scan_search(instance, nodes)
 
 

@@ -2,16 +2,19 @@ import itertools
 import math
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from conftest import (
     AStarState,
     ReferenceSolutionBuilder,
     drop_dag_edges,
+    expand,
     heuristic_h,
     random_connected_graph,
     random_gates,
     reference_candidate_edges,
+    reference_children,
     reference_closure,
     reference_embed,
     reference_episode,
@@ -231,7 +234,7 @@ class TestHeuristic:
         ctx = _RouteContext(c, grid3)
         node = ctx.make_root(Mapping((0, 2, 6, 8, 4, 1)))
         for _ in range(40):
-            children = ctx.expand(node)
+            children = expand(ctx, node)
             if not children:
                 break
             node = children[rng.randrange(len(children))]
@@ -829,7 +832,7 @@ def test_child_state_matches_rescan(instance):
     assert node.exec_mask == expected
     rng = random.Random(seed)
     for _ in range(40):
-        children = ctx.expand(node)
+        children = expand(ctx, node)
         if not children:
             break
         node = children[rng.randrange(len(children))]
@@ -865,7 +868,7 @@ def test_expand_matches_reference(instance):
     node = ctx.make_root(start)
     rng = random.Random(seed)
     for _ in range(40):
-        children = ctx.expand(node)
+        children = expand(ctx, node)
         expected = reference_expand(ctx, node)
         assert [node_fields(c) for c in children] == [node_fields(c) for c in expected]
         if not children:
@@ -905,56 +908,64 @@ def test_children_without_close_match_close(instance):
     node = ctx.make_root(start)
     rng = random.Random(seed)
     for _ in range(40):
-        children = ctx.expand(node)
+        children = expand(ctx, node)
         check_children_without_close(ctx, node, children)
         if not children:
             break
         node = children[rng.randrange(len(children))]
 
 
-@pytest.mark.parametrize("commutable", [False, True])
-def test_children_without_close_match_close_during_search(monkeypatch, grid4, commutable):
-    # On both kinds of circuit, searches build children that run gates
-    # without _close: every gate of a commutable circuit, and the last
-    # gates on their qubits of a non-commutable one.
-    ran = []
-    real_expand = _RouteContext.expand
+def check_children_during_search(monkeypatch, grid4, commutable, check) -> list:
+    """Route three random circuits on grid:4 from random starts, and at
+    every call of ``_RouteContext.children``, the method each expansion of
+    ``_episode`` and each step of a walk makes, call ``check(ctx, node,
+    edges, built)`` with its children, each built, records included. Returns
+    what the checks returned."""
+    seen = []
+    real_children = _RouteContext.children
 
-    def checked(ctx, node):
-        children = real_expand(ctx, node)
-        ran.append(check_children_without_close(ctx, node, children))
+    def checked(ctx, node, edges):
+        edges = list(edges)
+        children = real_children(ctx, node, edges)
+        seen.append(check(ctx, node, edges, [ctx.build(node, c) for c in children]))
         return children
 
-    monkeypatch.setattr(_RouteContext, "expand", checked)
+    monkeypatch.setattr(_RouteContext, "children", checked)
     rng = random.Random(3)
     for _ in range(3):
         c = Circuit(12, random_gates(rng, 12, 30), commutable)
         sol = astar_insert(c, grid4, Mapping(tuple(rng.sample(range(16), 12))))
         assert verify(c, grid4, sol).ok
+    return seen
+
+
+@pytest.mark.parametrize("commutable", [False, True])
+def test_children_without_close_match_close_during_search(monkeypatch, grid4, commutable):
+    # On both kinds of circuit, searches score children that run gates
+    # without _close: every gate of a commutable circuit, and the last
+    # gates on their qubits of a non-commutable one. Built from their
+    # records, they hold the state _close gives them.
+    ran = check_children_during_search(
+        monkeypatch, grid4, commutable,
+        lambda ctx, node, edges, built: check_children_without_close(ctx, node, built),
+    )
     assert sum(ran) > 100
 
 
 @pytest.mark.parametrize("commutable", [False, True])
 def test_expand_matches_reference_during_search(monkeypatch, grid4, commutable):
     # Searches on grid:4 with free positions: every expansion of every
-    # episode gives the reference's children.
-    expanded = []
-    real_expand = _RouteContext.expand
+    # episode, its records built, gives the reference's children.
+    def check(ctx, node, edges, built):
+        expected = reference_children(ctx, node, edges)
+        assert [node_fields(c) for c in built] == [node_fields(c) for c in expected]
+        is_expansion = edges == ctx.candidate_edges(node)
+        if is_expansion:
+            assert edges == reference_candidate_edges(ctx, node)
+        return is_expansion
 
-    def checked(ctx, node):
-        children = real_expand(ctx, node)
-        expected = reference_expand(ctx, node)
-        assert [node_fields(c) for c in children] == [node_fields(c) for c in expected]
-        expanded.append(len(children))
-        return children
-
-    monkeypatch.setattr(_RouteContext, "expand", checked)
-    rng = random.Random(3)
-    for _ in range(3):
-        c = Circuit(12, random_gates(rng, 12, 30), commutable)
-        sol = astar_insert(c, grid4, Mapping(tuple(rng.sample(range(16), 12))))
-        assert verify(c, grid4, sol).ok
-    assert len(expanded) > 100
+    expansions = check_children_during_search(monkeypatch, grid4, commutable, check)
+    assert sum(expansions) > 100
 
 
 @st.composite
@@ -986,7 +997,7 @@ def test_candidate_edges_match_reference(instance):
         assert edges == reference_candidate_edges(ctx, node)
         if not edges:
             break
-        children = ctx.expand(node)
+        children = expand(ctx, node)
         node = children[rng.randrange(len(children))]
 
 
@@ -1013,6 +1024,129 @@ def test_episode_matches_reference(grid4, commutable):
             # the walk astar_insert takes after a stranded episode
             node = srefine._force_nearest_gate(ctx, node)
     assert trims > 0
+
+
+def lazily_built_episode(ctx, root):
+    """Run ``_episode`` and log, in order, each record it builds and each
+    expansion it makes. Returns its goal, the log and the number of
+    records that ``children`` returned."""
+    log = []
+    records = 0
+    real_children, real_build = _RouteContext.children, _RouteContext.build
+
+    def children(ctx, node, edges):
+        nonlocal records
+        log.append("expand")
+        out = real_children(ctx, node, edges)
+        records += sum(type(c) is tuple for c in out)
+        return out
+
+    def build(ctx, node, child):
+        if type(child) is tuple:
+            log.append("build")
+        return real_build(ctx, node, child)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_RouteContext, "children", children)
+        mp.setattr(_RouteContext, "build", build)
+        goal = srefine._episode(ctx, root)
+    return goal, log, records
+
+
+def spy_expand(mp) -> list:
+    """Record each node whose children ``_RouteContext.children`` scores,
+    which ``reference_episode`` does once per expansion."""
+    expanded = []
+    real = _RouteContext.children
+    mp.setattr(
+        _RouteContext, "children",
+        lambda ctx, node, edges: expanded.append(node) or real(ctx, node, edges),
+    )
+    return expanded
+
+
+def route_episodes(circuit, graph, start) -> list:
+    """``(ctx, root)`` for each episode as ``astar_insert`` runs them, each
+    root after a stranded episode being the end of the walk from the last,
+    up to the first episode that reaches a goal."""
+    ctx = _RouteContext(circuit, graph)
+    node = ctx.make_root(start)
+    episodes = []
+    while True:
+        episodes.append((ctx, node))
+        if srefine._episode(ctx, node) is not None:
+            return episodes
+        node = srefine._force_nearest_gate(ctx, node)
+
+
+@pytest.mark.parametrize("case", ["noncommutable", "commutable", "stranded_circuit"])
+def test_episode_builds_a_node_only_for_a_pop(grid4, case):
+    # _episode builds a record's node only when it pops the record and the
+    # record is not stale, so at most one node per expansion or goal; on
+    # grid:4, most records are never built. Its goals are the reference's.
+    if case == "stranded_circuit":
+        runs = [(STRANDED_CIRCUIT, make_device("path", 5), STRANDED_START)]
+    else:
+        rng = random.Random(5)
+        runs = [
+            (Circuit(12, random_gates(rng, 12, 30), case == "commutable"), grid4,
+             Mapping(tuple(rng.sample(range(16), 12))))
+            for _ in range(3)
+        ]
+    built = records = 0
+    for run in runs:
+        for ctx, root in route_episodes(*run):
+            goal, log, made = lazily_built_episode(ctx, root)
+            with pytest.MonkeyPatch.context() as mp:
+                ref_expansions = spy_expand(mp)
+                ref_goal, _ = reference_episode(ctx, root)
+            # the same expansions, so no stale entry was expanded
+            assert log.count("expand") == len(ref_expansions)
+            assert (goal is None) == (ref_goal is None)
+            if goal is not None:
+                assert node_fields(goal) == node_fields(ref_goal)
+                assert _path_solution(ctx, goal) == _path_solution(ctx, ref_goal)
+                log.append("goal")
+            # each build is followed by the expansion of that node, or by
+            # the return of the goal
+            assert all(nxt != "build" for prev, nxt in zip(log, log[1:]) if prev == "build")
+            assert log[-1] != "build"
+            built += log.count("build")
+            records += made
+    assert built > 0
+    assert case == "stranded_circuit" or built < records / 2
+
+
+def test_episode_skips_a_stale_record_without_building_it():
+    # No measured search pops a stale entry, so a scripted one does: state
+    # 4 is pushed at cost 3 via 1 and 3, then again at cost 2 via 2. The
+    # cost-2 entry is popped and built first; the cost-3 one is then stale,
+    # popped before the goal (state 5, whose estimate is high) and dropped
+    # unbuilt.
+    def record(code, h, done=False):
+        return ((0, 1), code, int(done), (0,) if done else (), 0, 0, 0, h)
+
+    script = {
+        0: [record(1, 0.1), record(2, 5.0)],
+        1: [record(3, 0.1)],
+        3: [record(4, 10.0)],
+        2: [record(4, 10.0)],
+        4: [record(5, 100.0, done=True)],
+    }
+    built = []
+
+    def build(parent, child):
+        built.append(child[1])
+        return SimpleNamespace(code=child[1], exec_mask=child[2], g_cost=parent.g_cost + 1)
+
+    ctx = SimpleNamespace(
+        num_gates=1, all_mask=1, build=build,
+        candidate_edges=lambda node: [], children=lambda node, edges: script[node.code],
+    )
+    root = SimpleNamespace(code=0, exec_mask=0, g_cost=0, h=0.0)
+    goal = srefine._episode(ctx, root)
+    assert (goal.code, goal.g_cost) == (5, 3)
+    assert built == [1, 3, 2, 4, 5]
 
 
 def strand(monkeypatch) -> None:
@@ -1074,7 +1208,7 @@ def test_path_solution_matches_reference_builder(instance):
         if node.exec_mask == ctx.all_mask:
             break
         if rng.random() < 0.75:
-            children = ctx.expand(node)
+            children = expand(ctx, node)
             node = children[rng.randrange(len(children))]
         else:
             node = srefine._force_nearest_gate(ctx, node)
@@ -1253,6 +1387,96 @@ def test_annealing_matches_reference_on_library_devices(device, commutable, regi
         seed = rng.randrange(2**32)
         expected = reference_sa_initial_mapping(circuit, graph, start, regions, random.Random(seed))
         assert sa_initial_mapping(circuit, graph, start, regions, random.Random(seed)) == expected
+
+
+def unit_paths(monkeypatch) -> list[bool]:
+    """Record, per annealing call, whether it takes the integer path: the
+    one with partner lists, taken when every cost term weighs 1."""
+    taken = []
+    real = srefine._unit_partners
+
+    def recorded(terms, n):
+        partners = real(terms, n)
+        taken.append(partners is not None)
+        return partners
+
+    monkeypatch.setattr(srefine, "_unit_partners", recorded)
+    return taken
+
+
+def check_annealing(circuit, graph, start, regions, seed) -> None:
+    """The annealer's mapping and its generator's state after the call
+    equal the reference's."""
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    expected = reference_sa_initial_mapping(circuit, graph, start, regions, ref_rng)
+    assert sa_initial_mapping(circuit, graph, start, regions, rng) == expected
+    assert rng.getstate() == ref_rng.getstate()
+
+
+def test_annealing_takes_the_integer_path_only_at_weight_1(monkeypatch, grid3):
+    # Commutable circuits, with or without repeated pairs, and circuits
+    # with no two-qubit gate have only weight-1 terms; a gate after
+    # another on a shared qubit weighs 0.9.
+    taken = unit_paths(monkeypatch)
+    start = Mapping((0, 1, 2, 3))
+    for pairs, commutable in [
+        ([(0, 1), (1, 2), (2, 3)], True),
+        ([(0, 1), (0, 1), (1, 0), (2, 3)], True),
+        ([(0, 1), (2, 3)], False),
+        ([(0, 1), (1, 2)], False),
+    ]:
+        sa_initial_mapping(Circuit.from_pairs(4, pairs, commutable), grid3, start)
+    sa_initial_mapping(Circuit(4, (Gate(0, (0,)), Gate(1, (3,))), False), grid3, start)
+    assert taken == [True, True, True, False, True]
+
+
+QAOA_ANNEALS = [(20, "grid:5"), (20, "grid:7"), (40, "grid:7")]
+
+
+@pytest.mark.parametrize("with_regions", [False, True])
+@pytest.mark.parametrize("size, device", QAOA_ANNEALS)
+def test_integer_annealing_matches_reference_on_qaoa(monkeypatch, size, device, with_regions):
+    graph = make_device("grid", int(device.removeprefix("grid:")))
+    rng = random.Random(f"{size}:{device}:{with_regions}")
+    circuit = gen_qaoa(size, rng.randrange(100))
+    start = Mapping(tuple(rng.sample(range(graph.num_physical), size)))
+    regions = None
+    if with_regions:
+        regions = MappingRegion(tuple(
+            frozenset(rng.sample(range(graph.num_physical), rng.randint(1, 9))) for _ in range(size)
+        ))
+    taken = unit_paths(monkeypatch)
+    check_annealing(circuit, graph, start, regions, rng.randrange(2**32))
+    assert taken == [True]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_integer_annealing_matches_reference_with_repeated_pairs(monkeypatch, grid4, seed):
+    # Each pair of a commutable circuit drawn with repeats, so a term
+    # appears more than once in a partner list, and moves exchange two
+    # qubits that share several terms.
+    rng = random.Random(seed)
+    nq = rng.randint(2, 10)
+    pairs = [tuple(rng.sample(range(nq), 2)) for _ in range(rng.randint(1, 12))]
+    pairs += rng.choices(pairs, k=rng.randint(1, 8))
+    circuit = Circuit.from_pairs(nq, pairs, commutable=True)
+    start = Mapping(tuple(rng.sample(range(16), nq)))
+    taken = unit_paths(monkeypatch)
+    check_annealing(circuit, grid4, start, None, seed)
+    assert taken == [True]
+
+
+@pytest.mark.parametrize("commutable", [False, True])
+def test_integer_annealing_matches_reference_without_two_qubit_gates(
+    monkeypatch, grid3, commutable
+):
+    circuit = Circuit(3, tuple(Gate(i, (i % 3,)) for i in range(5)), commutable)
+    taken = unit_paths(monkeypatch)
+    check_annealing(circuit, grid3, Mapping((4, 0, 8)), None, 1)
+    check_annealing(circuit, grid3, Mapping((4, 0, 8)), MappingRegion(
+        (frozenset({4}), frozenset({0, 1}), frozenset({2, 5, 8}))
+    ), 2)
+    assert taken == [True, True]
 
 
 @pytest.mark.parametrize(

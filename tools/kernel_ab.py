@@ -2,17 +2,21 @@
 kernels on the same recorded inputs, in one process.
 
     python3 tools/kernel_ab.py OTHER_CHECKOUT --workload qaoa-vcycle --seeds 1,2
+    python3 tools/kernel_ab.py OTHER_CHECKOUT --workload qaoa-vcycle --seeds 1 \
+        --kernels sa_initial_mapping
 
 The tool loads each tree's ``src/mlqls`` under its own package name. It
 compiles the workload's perfbench instance sets for the given seeds with
 this checkout's package, once each, and records the input of every
 ``srefine.sa_initial_mapping``, ``srefine.forward_backward`` and
 ``exact.solve_exact`` call (the V cycle's coarse solves and the exact-small
-instances). Then it replays each input ``REPLAYS`` times in both trees,
-alternating which tree goes first from replay to replay, asserts that both
-give the same output (for ``solve_exact``: the solution JSON,
-``proven_optimal``, ``timed_out`` and ``nodes``), and prints per kernel the
-calls, each tree's CPU seconds
+instances); ``--kernels`` names a comma-separated subset to record and
+replay, all three by default. Then it replays each input ``REPLAYS`` times
+in both trees, alternating which tree goes first from replay to replay,
+asserts that both give the same output (for ``sa_initial_mapping``: the
+mapping and the state of its ``random.Random`` after the call; for
+``solve_exact``: the solution JSON, ``proven_optimal``, ``timed_out`` and
+``nodes``), and prints per kernel the calls, each tree's CPU seconds
 (``time.process_time``, summed over every replay), the ratio of those
 totals and the median of the per-input ratios. The total ratio weighs the
 long calls; the median is robust to one input that a noisy neighbour
@@ -58,9 +62,9 @@ def load_tree(tree: Path, name: str) -> SimpleNamespace:
     return SimpleNamespace(**{m: sys.modules[f"{name}.{m}"] for m in MODULES})
 
 
-def record(lib, workload: str, seeds: list[int]) -> list[tuple[str, dict]]:
-    """Compile the instance sets and return every kernel call's input as
-    plain data: ``(kernel, args)``."""
+def record(lib, workload: str, seeds: list[int], kernels) -> list[tuple[str, dict]]:
+    """Compile the instance sets and return the input of every call of the
+    named kernels as plain data: ``(kernel, args)``."""
     calls: list[tuple[str, dict]] = []
     srefine = lib.srefine
     real_sa, real_fb = srefine.sa_initial_mapping, srefine.forward_backward
@@ -95,8 +99,12 @@ def record(lib, workload: str, seeds: list[int]) -> list[tuple[str, dict]]:
         return real_exact(circuit, graph, cfg, warm_start)
 
     # The flow calls the name it imported; exact-small calls the module's.
-    srefine.sa_initial_mapping, srefine.forward_backward = sa, fb
-    lib.flow.solve_exact = lib.exact.solve_exact = exact
+    if "sa_initial_mapping" in kernels:
+        srefine.sa_initial_mapping = sa
+    if "forward_backward" in kernels:
+        srefine.forward_backward = fb
+    if "solve_exact" in kernels:
+        lib.flow.solve_exact = lib.exact.solve_exact = exact
     try:
         for seed in seeds:
             for inst in workloads.build(lib, workload, seed):
@@ -151,7 +159,7 @@ class Replayer:
         out = getattr(module, kernel)(*call_args)
         seconds = time.process_time() - t0
         if kernel == "sa_initial_mapping":
-            return seconds, out.assignment
+            return seconds, (out.assignment, rng.getstate())
         if kernel == "solve_exact":
             flags = (out.proven_optimal, out.timed_out, out.nodes)
             return seconds, (lib.verify.solution_to_json(out.solution), *flags)
@@ -163,6 +171,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("other", help="root of the checkout to compare against")
     parser.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
     parser.add_argument("--seeds", required=True, help="comma-separated workload seeds")
+    parser.add_argument("--kernels", default=",".join(KERNELS),
+                        help=f"comma-separated kernels to replay (default: {','.join(KERNELS)})")
     args = parser.parse_args(argv)
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s]
@@ -170,16 +180,19 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--seeds must be comma-separated integers, not {args.seeds!r}")
     if not seeds:
         parser.error("--seeds needs at least one seed")
+    kernels = [k for k in KERNELS if k in args.kernels.split(",")]
+    if set(args.kernels.split(",")) - set(KERNELS):
+        parser.error(f"--kernels takes names from {','.join(KERNELS)}, not {args.kernels!r}")
     other = Path(args.other).resolve()
     if not (other / "src" / "mlqls" / "__init__.py").is_file():
         parser.error(f"{other} holds no src/mlqls package")
 
     libs = {"this": load_tree(ROOT, "mlqls_ab_this"), "other": load_tree(other, "mlqls_ab_other")}
-    calls = record(libs["this"], args.workload, seeds)
+    calls = record(libs["this"], args.workload, seeds, kernels)
     replayers = {name: Replayer(lib) for name, lib in libs.items()}
-    cpu = {(tree, kernel): 0.0 for tree in libs for kernel in KERNELS}
-    count = dict.fromkeys(KERNELS, 0)
-    ratios: dict[str, list[float]] = {kernel: [] for kernel in KERNELS}
+    cpu = {(tree, kernel): 0.0 for tree in libs for kernel in kernels}
+    count = dict.fromkeys(kernels, 0)
+    ratios: dict[str, list[float]] = {kernel: [] for kernel in kernels}
     for i, (kernel, kernel_args) in enumerate(calls):
         spent = dict.fromkeys(libs, 0.0)
         for r in range(REPLAYS):
@@ -201,7 +214,7 @@ def main(argv: list[str] | None = None) -> int:
           f"replays={REPLAYS}")
     print(f"{'kernel':<20} {'calls':>6} {'this cpu_s':>11} {'other cpu_s':>12} "
           f"{'this/other':>11} {'median ratio':>13}")
-    for kernel in KERNELS:
+    for kernel in kernels:
         mine, theirs = cpu["this", kernel], cpu["other", kernel]
         ratio = f"{mine / theirs:.3f}" if theirs else "n/a"
         median = f"{statistics.median(ratios[kernel]):.3f}" if ratios[kernel] else "n/a"
