@@ -1,11 +1,12 @@
 """Command-line front end: compile circuits onto devices, verify solution
-files, and run benchmark suites into CSV/Markdown tables."""
+files, and run benchmark suites into JSON-lines run records."""
 
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -167,6 +168,22 @@ def _check_budget_scale(scale: float) -> None:
         raise ValueError(f"--budget-scale must be positive (inf for no limit), not {scale}")
 
 
+def _compile_run(
+    mode: str, circuit: Circuit, device: CouplingGraph, seed: int, scale: float
+) -> tuple[QlsSolution, dict]:
+    """Solve ``circuit`` on ``device`` through ``_solve``, timed and verified;
+    returns the solution and its run record: mode, seed, sizes, SWAPs, depth,
+    seconds, whether it verified, and the mode's extra metadata."""
+    t0 = time.monotonic()
+    sol, extra = _solve(mode, circuit, device, seed, scale)
+    seconds = time.monotonic() - t0
+    return sol, dict(
+        mode=mode, seed=seed, qubits=circuit.num_qubits, gates=len(circuit.gates),
+        swaps=swap_count(sol), depth=sol.depth, seconds=round(seconds, 3),
+        verified=verify(circuit, device, sol).ok, **extra,
+    )
+
+
 def cmd_compile(args: argparse.Namespace) -> int:
     """Run ``mlqls compile`` with its parsed command-line arguments."""
     _check_budget_scale(args.budget_scale)
@@ -176,34 +193,25 @@ def cmd_compile(args: argparse.Namespace) -> int:
     if device is None:
         raise ValueError("--device is required")
     circuit = build_circuit(device, args.circuit, args.gen, args.seed)
-    t0 = time.monotonic()
-    sol, extra = _solve(args.mode, circuit, device, args.seed, args.budget_scale)
-    seconds = time.monotonic() - t0
+    sol, meta = _compile_run(args.mode, circuit, device, args.seed, args.budget_scale)
     if not args.dump_levels:
-        extra.pop("levels", None)
-    report = verify(circuit, device, sol)
-    if not report.ok:  # internal bug: solvers must emit valid solutions
-        print(f"INTERNAL ERROR: solution failed verification: {report.first_failure()}")
+        meta.pop("levels", None)
+    if not meta["verified"]:  # internal bug: solvers must emit valid solutions
+        failure = verify(circuit, device, sol).first_failure()
+        print(f"INTERNAL ERROR: solution failed verification: {failure}")
         return 1
     bundle = {
         "device": device_to_json(device),
         "circuit": circuit_to_json(circuit),
         "solution": solution_to_json(sol),
-        "meta": {
-            "mode": args.mode,
-            "seed": args.seed,
-            "swaps": swap_count(sol),
-            "depth": sol.depth,
-            "seconds": round(seconds, 3),
-            **extra,
-        },
+        "meta": meta,
     }
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(bundle, fh, indent=2)
     print(
-        f"mode={args.mode} qubits={circuit.num_qubits} gates={len(circuit.gates)} "
-        f"swaps={swap_count(sol)} depth={sol.depth} seconds={seconds:.2f}"
+        f"mode={args.mode} qubits={meta['qubits']} gates={meta['gates']} "
+        f"swaps={meta['swaps']} depth={meta['depth']} seconds={meta['seconds']:.2f}"
     )
     return 0
 
@@ -250,112 +258,74 @@ def _cmd_verify(args: argparse.Namespace, device: CouplingGraph | None) -> int:
 # Benchmark harness
 # ---------------------------------------------------------------------------
 
-_CSV_HEADER = "suite,circuit,device,mode,seed,qubits,gates,swaps,depth,seconds,verified"
-
-
-def _bench_jobs(suite: str, devices: list[str], depths: list[int], sizes: list[int],
-                seeds: int, modes: list[str], density: float) -> list[dict]:
-    # (device, generator, seed, label) per instance
+def _bench_instances(suite: str, devices: list[str], depths: list[int], sizes: list[int],
+                     seeds: int, density: float) -> list[tuple]:
+    """(label, device spec, device, circuit, seed) per instance, every device
+    and circuit built before any solve; ValueError naming the option and the
+    value that an instance cannot be built from."""
+    # (device spec, depth or size, seed, label, the options that chose the circuit)
     if suite == "queko":
-        instances = [
-            (dev, f"queko:depth={depth},density={density}", seed, f"queko_d{depth}_s{seed}")
+        specs = [
+            (dev, depth, seed, f"queko_d{depth}_s{seed}", f"--depths {depth} (--density {density})")
             for dev in devices for depth in depths for seed in range(seeds)
         ]
     elif suite in ("qaoa", "chain"):
         # Without --devices, each size gets the smallest square grid that holds it.
-        instances = [
-            (dev, f"{suite}:n={n}", seed, f"qaoa_{n}_s{seed}" if suite == "qaoa" else f"chain_{n}")
+        specs = [
+            (dev, n, seed, f"qaoa_{n}_s{seed}" if suite == "qaoa" else f"chain_{n}", f"--sizes {n}")
             for n in sizes
-            for dev in devices or [f"grid:{math.isqrt(n - 1) + 1}"]
+            for dev in devices or [f"grid:{math.isqrt(max(n - 1, 1)) + 1}"]
             for seed in range(seeds)
         ]
     else:
         raise ValueError(f"unknown suite {suite!r}")
-    return [
-        dict(suite=suite, device=dev, gen=gen, label=label, seed=seed, mode=mode)
-        for dev, gen, seed, label in instances for mode in modes
-    ]
-
-
-def _run_bench_job(job: dict) -> dict:
-    device = parse_device_spec(job["device"])
-    circuit = build_circuit(device, gen=job["gen"], seed=job["seed"])
-    t0 = time.monotonic()
-    sol, _ = _solve(job["mode"], circuit, device, job["seed"], job["budget_scale"])
-    seconds = time.monotonic() - t0
-    ok = verify(circuit, device, sol).ok
-    return dict(
-        suite=job["suite"], circuit=job["label"], device=job["device"], mode=job["mode"],
-        seed=job["seed"], qubits=circuit.num_qubits, gates=len(circuit.gates),
-        swaps=swap_count(sol), depth=sol.depth, seconds=round(seconds, 3), verified=ok,
-    )
+    graphs: dict[str, CouplingGraph] = {}
+    instances = []
+    for dev, value, seed, label, options in specs:
+        if dev not in graphs:
+            try:
+                graphs[dev] = parse_device_spec(dev)
+            except ValueError as exc:
+                raise ValueError(f"--devices {dev}: {exc}") from None
+        try:
+            if suite == "queko":
+                circuit, _ = gen_queko(graphs[dev], value, density, seed)
+            else:
+                circuit = gen_qaoa(value, seed) if suite == "qaoa" else gen_chain(value)
+            if circuit.num_qubits > graphs[dev].num_physical:
+                raise ValueError(f"{circuit.num_qubits} qubits do not fit on {dev}")
+        except ValueError as exc:
+            raise ValueError(f"{options}: {exc}") from None
+        instances.append((label, dev, graphs[dev], circuit, seed))
+    return instances
 
 
 def cmd_bench(suite: str, devices: list[str], depths: list[int], sizes: list[int],
               seeds: int, modes: list[str], density: float = 0.5,
               out: str | None = None, budget_scale: float = 0.01) -> int:
+    """Run every mode on every instance of ``suite`` and print one JSON run
+    record per run, also written to ``out`` when given."""
     _check_budget_scale(budget_scale)
     if not modes or not set(modes) <= set(_SOLVE_MODES) or len(set(modes)) < len(modes):
         raise ValueError(
             f"--modes must list one or more of {', '.join(_SOLVE_MODES)}, each once, not {modes}"
         )
-    jobs = _bench_jobs(suite, devices, depths, sizes, seeds, modes, density)
-    if not jobs:
+    instances = _bench_instances(suite, devices, depths, sizes, seeds, density)
+    if not instances:
         needs = "--devices and --depths" if suite == "queko" else "--sizes"
         raise ValueError(
             f"suite {suite!r} has no instances: it needs {needs} and --seeds of at least 1"
         )
-    for job in jobs:
-        job["budget_scale"] = budget_scale
-    rows = [_run_bench_job(job) for job in jobs]
-    rows.sort(key=lambda r: (r["suite"], r["circuit"], r["device"], r["mode"], r["seed"]))
-    csv_lines = [_CSV_HEADER]
-    for r in rows:
-        csv_lines.append(
-            f"{r['suite']},{r['circuit']},{r['device']},{r['mode']},{r['seed']},"
-            f"{r['qubits']},{r['gates']},{r['swaps']},{r['depth']},{r['seconds']},{r['verified']}"
-        )
-    csv_text = "\n".join(csv_lines) + "\n"
-    md_text = _markdown_table(rows, modes)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(csv_text)
-        md_path = out.rsplit(".", 1)[0] + ".md"
-        with open(md_path, "w") as fh:
-            fh.write(md_text)
-    print(md_text)
+    jobs = [(*instance, mode) for instance in instances for mode in modes]
+    jobs.sort(key=lambda job: (job[0], job[1], job[5], job[4]))  # label, device, mode, seed
+    with open(out or os.devnull, "w") as fh:
+        for label, dev, device, circuit, seed, mode in jobs:
+            _, record = _compile_run(mode, circuit, device, seed, budget_scale)
+            record.pop("levels", None)
+            line = json.dumps({"suite": suite, "circuit": label, "device": dev, **record})
+            print(line, flush=True)
+            fh.write(line + "\n")
     return 0
-
-
-def _markdown_table(rows: list[dict], modes: list[str]) -> str:
-    lines = [
-        "| circuit | device | mode | swaps | depth | seconds |",
-        "|---|---|---|---:|---:|---:|",
-    ]
-    for r in rows:
-        lines.append(
-            f"| {r['circuit']} | {r['device']} | {r['mode']} | {r['swaps']} "
-            f"| {r['depth']} | {r['seconds']} |"
-        )
-    baseline = modes[-1]
-    by_instance: dict[tuple, dict[str, int]] = {}
-    for r in rows:
-        by_instance.setdefault((r["circuit"], r["device"], r["seed"]), {})[r["mode"]] = r["swaps"]
-    ratio_cells = []
-    for mode in modes:
-        ratios = [
-            (per_mode[mode] + 1) / (per_mode[baseline] + 1)
-            for per_mode in by_instance.values()
-            if mode in per_mode and baseline in per_mode
-        ]
-        if ratios:
-            geo = math.exp(sum(math.log(x) for x in ratios) / len(ratios))
-            ratio_cells.append(f"{mode}={geo:.2f}")
-    lines.append("")
-    lines.append(
-        f"Geo. ratio of (swaps+1) vs {baseline}: " + ", ".join(ratio_cells)
-    )
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--modes", default="srefine,vcycle")
     pb.add_argument("--density", type=float, default=0.5)
     pb.add_argument("--budget-scale", type=float, default=0.01)
-    pb.add_argument("--out", help="CSV output path (Markdown written alongside)")
+    pb.add_argument("--out", help="also write the JSON-lines records here")
     return parser
 
 

@@ -203,6 +203,8 @@ class CouplingGraph:
             if not (0 <= a < num_physical and 0 <= b < num_physical):
                 raise DeviceError(f"edge ({a},{b}) out of range")
             norm.add((min(a, b), max(a, b)))
+        if num_physical > len(norm) + 1:  # too few edges to connect: refuse before allocating
+            raise DeviceError("coupling graph is disconnected")
         nbr: list[list[int]] = [[] for _ in range(num_physical)]
         for a, b in norm:
             nbr[a].append(b)

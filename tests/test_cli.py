@@ -133,52 +133,73 @@ def test_compile_requires_exactly_one_source(tmp_path):
     assert rc == 2
 
 
+def bench_rows(capsys, *argv):
+    """The parsed JSON-lines rows that ``mlqls bench argv`` prints."""
+    capsys.readouterr()
+    assert main(["bench", *argv]) == 0
+    return [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+
+
+def without_seconds(record):
+    """A run record without its wall-clock fields, the only ones that vary
+    between runs of the same job."""
+    kept = {key: value for key, value in record.items() if key != "seconds"}
+    if "stats" in kept:
+        kept["stats"] = [without_seconds(stat) for stat in kept["stats"]]
+    return kept
+
+
 def test_bench_chain_suite(tmp_path, capsys):
-    out = tmp_path / "results.csv"
-    rc = cmd_bench(
-        "chain",
-        devices=[],
-        depths=[],
-        sizes=[4, 6],
-        seeds=2,
-        modes=["srefine", "vcycle"],
-        out=str(out),
-        budget_scale=0.001,
-    )
-    assert rc == 0
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == 1 + 2 * 2 * 2  # header + sizes x seeds x modes
-    md = (tmp_path / "results.md").read_text()
-    assert "Geo. ratio" in md
+    out = tmp_path / "r.jsonl"
+    argv = ["--suite", "chain", "--sizes", "4,6", "--seeds", "2", "--modes", "srefine,vcycle"]
+    rows = bench_rows(capsys, *argv, "--budget-scale", "0.001", "--out", str(out))
+    assert len(rows) == 2 * 2 * 2  # sizes x seeds x modes
+    assert [json.loads(line) for line in out.read_text().splitlines()] == rows
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.jsonl"]  # no CSV or Markdown
     # every chain instance embeds; both modes report zero swaps
-    for line in lines[1:]:
-        assert line.split(",")[7] == "0"
-
-
-def test_bench_deterministic(tmp_path):
-    kwargs = dict(
-        devices=[], depths=[], sizes=[4], seeds=2,
-        modes=["srefine"], budget_scale=0.001,
-    )
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    cmd_bench("qaoa", out=str(a), **kwargs)
-    cmd_bench("qaoa", out=str(b), **kwargs)
-    strip = lambda text: [
-        ",".join(col for i, col in enumerate(line.split(",")) if i != 9)  # drop seconds
-        for line in text.strip().splitlines()
+    assert all(row["swaps"] == 0 and row["verified"] for row in rows)
+    assert [(r["circuit"], r["device"], r["mode"], r["seed"]) for r in rows[:4]] == [
+        ("chain_4", "grid:2", "srefine", 0),
+        ("chain_4", "grid:2", "srefine", 1),
+        ("chain_4", "grid:2", "vcycle", 0),
+        ("chain_4", "grid:2", "vcycle", 1),
     ]
-    assert strip(a.read_text()) == strip(b.read_text())
+    assert all("stats" in r and "initial_swaps" in r for r in rows if r["mode"] == "vcycle")
 
 
-def test_bench_geo_ratio_of_mode_against_itself(tmp_path):
-    out = tmp_path / "r.csv"
-    cmd_bench(
-        "chain", devices=[], depths=[], sizes=[5], seeds=1,
-        modes=["srefine"], out=str(out), budget_scale=0.001,
-    )
-    md = (tmp_path / "r.md").read_text()
-    assert "srefine=1.00" in md
+def test_bench_deterministic(capsys):
+    argv = ["--suite", "qaoa", "--sizes", "4", "--seeds", "2", "--modes", "srefine,vcycle",
+            "--budget-scale", "0.001"]
+    a = bench_rows(capsys, *argv)
+    b = bench_rows(capsys, *argv)
+    assert len(a) == 4 and any(row["stats"] for row in a if row["mode"] == "vcycle")
+    assert [without_seconds(row) for row in a] == [without_seconds(row) for row in b]
+
+
+@pytest.mark.parametrize("mode", ["srefine", "vcycle", "exact"])
+def test_bench_row_is_the_compile_record(tmp_path, capsys, mode):
+    # both commands describe a run with one record; bench adds only the suite,
+    # the instance label and the device spec, and drops the levels
+    scale = "0.001"
+    rows = bench_rows(capsys, "--suite", "qaoa", "--sizes", "6", "--devices", "grid:3",
+                      "--seeds", "2", "--modes", mode, "--budget-scale", scale)
+    out = tmp_path / "sol.json"
+    argv = ["compile", "--device", "grid:3", "--gen", "qaoa:n=6", "--mode", mode, "--seed", "1"]
+    assert main([*argv, "--budget-scale", scale, "--dump-levels", "--out", str(out)]) == 0
+    meta = json.loads(out.read_text())["meta"]
+    assert [row["seed"] for row in rows] == [0, 1]
+    row = rows[1]
+    assert (row.pop("suite"), row.pop("circuit"), row.pop("device")) == ("qaoa", "qaoa_6_s1", "grid:3")
+    assert ("levels" in meta) == (mode == "vcycle")
+    meta.pop("levels", None)
+    assert without_seconds(row) == without_seconds(meta)
+    extras = {
+        "srefine": set(),
+        "vcycle": {"stats", "initial_swaps"},
+        "exact": {"proven_optimal", "timed_out", "nodes"},
+    }[mode]
+    common = {"mode", "seed", "qubits", "gates", "swaps", "depth", "seconds", "verified"}
+    assert set(row) == common | extras
 
 
 def test_device_file_loading(tmp_path):
@@ -188,6 +209,15 @@ def test_device_file_loading(tmp_path):
     )
     g = parse_device_spec(f"file:{dev}")
     assert g.num_physical == 3 and g.name == "toy"
+
+
+def test_device_file_too_sparse_to_connect_exits_2(tmp_path, capsys):
+    # one edge cannot connect 10**12 qubits: refused before any per-qubit table
+    dev = tmp_path / "dev.json"
+    dev.write_text(json.dumps({"name": "x", "num_qubits": 10**12, "edges": [[0, 1]]}))
+    argv = ["compile", "--device", f"file:{dev}", "--gen", "chain:n=4", "--mode", "srefine"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: coupling graph is disconnected\n"
 
 
 def test_verify_bare_solution_with_flags(tmp_path):
@@ -246,7 +276,7 @@ def test_bench_exact_uses_budget_scale(tmp_path, monkeypatch):
     scale = 0.002
     cmd_bench(
         "chain", devices=["path:4"], depths=[], sizes=[4], seeds=1,
-        modes=["exact"], out=str(tmp_path / "e.csv"), budget_scale=scale,
+        modes=["exact"], out=str(tmp_path / "e.jsonl"), budget_scale=scale,
     )
     assert len(seen) == 1 and seen[0] is not None
     assert seen[0].overall_budget == pytest.approx(300 * scale)
@@ -311,6 +341,34 @@ def test_bench_rejects_bad_modes_before_any_job(capsys, monkeypatch, modes):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "argv, problem",
+    [
+        (["--suite", "qaoa", "--sizes", "0"], "--sizes 0: 3-regular graph needs"),
+        (["--suite", "chain", "--sizes", "4,1"], "--sizes 1: chain needs at least 2 qubits"),
+        (["--suite", "qaoa", "--sizes", "8,20", "--devices", "grid:3"],
+         "--sizes 20: 20 qubits do not fit on grid:3"),
+        (["--suite", "queko", "--depths", "5,-3"], "--depths -3 (--density 0.5): depth must be"),
+        (["--suite", "queko", "--depths", "5", "--density", "2"],
+         "--depths 5 (--density 2.0): density must be"),
+        (["--suite", "chain", "--sizes", "4", "--devices", "grid:3,grid:1"],
+         "--devices grid:1: grid requires"),
+    ],
+    ids=["qaoa_size_0", "chain_size_1", "qaoa_over_device", "queko_negative_depth",
+         "queko_density_2", "device_grid_1"],
+)
+def test_bench_rejects_bad_instances_before_any_job(capsys, monkeypatch, argv, problem):
+    # every instance is built before the first solve, and the error names
+    # the option and the value it cannot be built from
+    import mlqls.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "_solve", lambda *args: calls.append(args))
+    assert main(["bench", *argv, "--modes", "srefine"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {problem}")
+    assert calls == []
+
+
 @pytest.mark.parametrize("mode", ["srefine", "vcycle", "exact"])
 @pytest.mark.parametrize("scale", ["nan", "0", "-1", "inf"])
 def test_budget_scale_checked(capsys, monkeypatch, mode, scale):
@@ -355,24 +413,16 @@ def test_bench_without_instances_exits_2(capsys, monkeypatch, case):
     assert calls == []
 
 
-def test_qaoa_bench_runs_every_device(tmp_path):
-    out = tmp_path / "q.csv"
-    cmd_bench(
-        "qaoa", devices=["grid:3", "grid:4"], depths=[], sizes=[8], seeds=1,
-        modes=["srefine"], out=str(out), budget_scale=0.001,
-    )
-    rows = out.read_text().strip().splitlines()[1:]
-    assert [row.split(",")[2] for row in rows] == ["grid:3", "grid:4"]
+def test_qaoa_bench_runs_every_device(capsys):
+    rows = bench_rows(capsys, "--suite", "qaoa", "--devices", "grid:3,grid:4", "--sizes", "8",
+                      "--seeds", "1", "--modes", "srefine", "--budget-scale", "0.001")
+    assert [row["device"] for row in rows] == ["grid:3", "grid:4"]
 
 
-def test_queko_bench_counts_rows(tmp_path):
-    out = tmp_path / "q.csv"
-    cmd_bench(
-        "queko", devices=["grid:3"], depths=[2, 3], sizes=[], seeds=2,
-        modes=["srefine"], out=str(out), budget_scale=0.001,
-    )
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == 1 + 2 * 2
+def test_queko_bench_counts_rows(capsys):
+    rows = bench_rows(capsys, "--suite", "queko", "--devices", "grid:3", "--depths", "2,3",
+                      "--seeds", "2", "--modes", "srefine", "--budget-scale", "0.001")
+    assert len(rows) == 2 * 2
 
 
 @pytest.mark.parametrize("where", ["circuit", "device", "solution"])

@@ -4,6 +4,7 @@ import pytest
 
 from mlqls import (
     Circuit,
+    CouplingGraph,
     DeviceError,
     Gate,
     QasmError,
@@ -166,6 +167,13 @@ class TestDistances:
     def test_disconnected_rejected(self):
         with pytest.raises(DeviceError, match="disconnected"):
             make_device("custom", n=4, edges=[(0, 1), (2, 3)])
+
+    def test_too_few_edges_rejected_before_allocating(self):
+        # n qubits need n - 1 distinct edges to connect; a per-qubit table for
+        # 10**12 qubits would not fit in memory, so this returns only if the
+        # edge count is checked first
+        with pytest.raises(DeviceError, match="disconnected"):
+            CouplingGraph.build(10**12, [(0, 1), (1, 0)])
 
 
 class TestMakeDevice:
