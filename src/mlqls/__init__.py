@@ -11,7 +11,6 @@ from .cluster import (
     cluster_program,
     coarsen,
     identity_cluster_map,
-    induced_coarse_mapping,
     interpolate,
 )
 from .exact import (

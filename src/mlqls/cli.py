@@ -146,7 +146,6 @@ def _solve(
             circuit, device, FlowConfig(seed=seed, srefine=srefine_cfg, exact=exact_cfg)
         )
         return result.final, {
-            "initial_swaps": swap_count(result.initial),
             "stats": [
                 {"stage": s.stage, "swaps": s.swaps, "seconds": round(s.seconds, 3)}
                 for s in result.stats
@@ -194,8 +193,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
         raise ValueError("--device is required")
     circuit = build_circuit(device, args.circuit, args.gen, args.seed)
     sol, meta = _compile_run(args.mode, circuit, device, args.seed, args.budget_scale)
-    if not args.dump_levels:
-        meta.pop("levels", None)
     if not meta["verified"]:  # internal bug: solvers must emit valid solutions
         failure = verify(circuit, device, sol).first_failure()
         print(f"INTERNAL ERROR: solution failed verification: {failure}")
@@ -321,7 +318,6 @@ def cmd_bench(suite: str, devices: list[str], depths: list[int], sizes: list[int
     with open(out or os.devnull, "w") as fh:
         for label, dev, device, circuit, seed, mode in jobs:
             _, record = _compile_run(mode, circuit, device, seed, budget_scale)
-            record.pop("levels", None)
             line = json.dumps({"suite": suite, "circuit": label, "device": dev, **record})
             print(line, flush=True)
             fh.write(line + "\n")
@@ -346,7 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--solution", help="solution JSON for --mode verify")
     pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--budget-scale", type=float, default=0.01)
-    pc.add_argument("--dump-levels", action="store_true")
     pc.add_argument("--out", help="write solution bundle JSON here")
 
     pb = sub.add_parser("bench", help="run a benchmark suite")
@@ -362,14 +357,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _int_list(option: str, text: str) -> list[int]:
+    """The comma-separated integers of ``text``; ValueError naming ``option``
+    and the first entry that is not one."""
+    values = []
+    for entry in filter(None, text.split(",")):
+        try:
+            values.append(int(entry))
+        except ValueError:
+            raise ValueError(f"{option} {entry}: not an integer") from None
+    return values
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "compile":
             return cmd_compile(args)
         devices = [d for d in args.devices.split(",") if d]
-        depths = [int(x) for x in args.depths.split(",") if x]
-        sizes = [int(x) for x in args.sizes.split(",") if x]
+        depths = _int_list("--depths", args.depths)
+        sizes = _int_list("--sizes", args.sizes)
         modes = [m for m in args.modes.split(",") if m]
         if args.suite == "queko" and not devices:
             devices = ["grid:4"]

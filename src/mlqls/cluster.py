@@ -96,27 +96,22 @@ class LevelHierarchy:
     def __len__(self) -> int:
         return len(self.levels)
 
-    def qubit_counts(self) -> list[int]:
-        return [lv.circuit.num_qubits for lv in self.levels]
-
-    def to_json(self) -> dict:
-        return {
-            "levels": [
-                {
-                    "qubits": lv.circuit.num_qubits,
-                    "gates": len(lv.circuit.gates),
-                    "physical": lv.graph.num_physical,
-                    "edges": len(lv.graph.edges),
-                    "program_cells": None
-                    if lv.prog_map is None
-                    else [list(c) for c in lv.prog_map.coarse_to_fine],
-                    "physical_cells": None
-                    if lv.phys_map is None
-                    else [list(c) for c in lv.phys_map.coarse_to_fine],
-                }
-                for lv in self.levels
-            ]
-        }
+    def to_json(self) -> list[dict]:
+        return [
+            {
+                "qubits": lv.circuit.num_qubits,
+                "gates": len(lv.circuit.gates),
+                "physical": lv.graph.num_physical,
+                "edges": len(lv.graph.edges),
+                "program_cells": None
+                if lv.prog_map is None
+                else [list(c) for c in lv.prog_map.coarse_to_fine],
+                "physical_cells": None
+                if lv.phys_map is None
+                else [list(c) for c in lv.phys_map.coarse_to_fine],
+            }
+            for lv in self.levels
+        ]
 
 
 def affinity(circuit: Circuit) -> list[list[int]]:
@@ -288,20 +283,6 @@ def coarsen(
         phys_cm.num_coarse, coarse_edges, name=f"coarse({graph.name})"
     )
     return coarse_circuit, coarse_graph
-
-
-def induced_coarse_mapping(
-    prog_cm: ClusterMap, phys_cm: ClusterMap, sol: Mapping
-) -> Mapping:
-    """The coarse-level mapping implied by a fine mapping: each program cell
-    lands on the physical cell holding its image."""
-    assignment = []
-    for cell in prog_cm.coarse_to_fine:
-        targets = {phys_cm.fine_to_coarse[sol[q]] for q in cell}
-        if len(targets) != 1:
-            raise ClusteringError(f"program cell {cell} straddles physical cells {targets}")
-        assignment.append(targets.pop())
-    return Mapping(tuple(assignment))
 
 
 def interpolate(

@@ -20,7 +20,6 @@ from .cluster import (
     cluster_program,
     coarsen,
     identity_cluster_map,
-    induced_coarse_mapping,
     interpolate,
 )
 from .exact import ExactConfig, fits_exact, solve_exact
@@ -33,13 +32,9 @@ _MIN_SHRINK = 0.10
 _MAX_LEVELS = 32
 
 
-def compression_guard(hierarchy: LevelHierarchy) -> bool:
-    """True while coarsening may continue: the last level shrank by at least
-    10%."""
-    counts = hierarchy.qubit_counts()
-    if len(counts) < 2:
-        return False
-    prev, cur = counts[-2], counts[-1]
+def compression_guard(prev: int, cur: int) -> bool:
+    """True while coarsening may continue: ``prev`` qubits shrank to ``cur``
+    by at least 10%."""
     return prev > 0 and (prev - cur) / prev >= _MIN_SHRINK
 
 
@@ -99,19 +94,19 @@ def _build_hierarchy(circuit: Circuit, graph: CouplingGraph, guide: Mapping) -> 
     """Cluster repeatedly, guided by the current solution's first-block
     mapping, until the coarsest instance fits the exact-solver limits or
     compression stalls."""
-    hierarchy = LevelHierarchy([Level(circuit, graph, None, None)])
-    cur_c, cur_g, cur_m = circuit, graph, guide
-    while not fits_exact(cur_c) and len(hierarchy) < _MAX_LEVELS:
-        prog_cm = cluster_program(cur_c, cur_m, cur_g)
-        phys_cm = cluster_physical(cur_g, prog_cm, cur_m)
-        coarse_c, coarse_g = coarsen(cur_c, cur_g, prog_cm, phys_cm)
-        coarse_m = induced_coarse_mapping(prog_cm, phys_cm, cur_m)
-        hierarchy.levels[-1] = Level(cur_c, cur_g, prog_cm, phys_cm)
-        hierarchy.levels.append(Level(coarse_c, coarse_g, None, None))
-        cur_c, cur_g, cur_m = coarse_c, coarse_g, coarse_m
-        if not compression_guard(hierarchy):
+    levels: list[Level] = []
+    while not fits_exact(circuit) and len(levels) + 1 < _MAX_LEVELS:
+        prog_cm = cluster_program(circuit, guide, graph)
+        phys_cm = cluster_physical(graph, prog_cm, guide)
+        levels.append(Level(circuit, graph, prog_cm, phys_cm))
+        circuit, graph = coarsen(circuit, graph, prog_cm, phys_cm)
+        # cluster_physical numbers physical cell i as the image of program
+        # cell i, so the identity places each coarse qubit on its image.
+        guide = Mapping(tuple(range(circuit.num_qubits)))
+        if not compression_guard(levels[-1].circuit.num_qubits, circuit.num_qubits):
             break
-    return hierarchy
+    levels.append(Level(circuit, graph, None, None))
+    return LevelHierarchy(levels)
 
 
 def _quick_srefine(base: SrefineConfig) -> SrefineConfig:

@@ -103,10 +103,10 @@ def test_vcycle_bundle_reports_stages(tmp_path):
     meta = json.loads(out.read_text())["meta"]
     stats = meta["stats"]
     assert [s["stage"] for s in stats] == ["srefine", "vcycle1"]
-    assert stats[0]["swaps"] == meta["initial_swaps"] > 0
+    assert stats[0]["swaps"] > 0
     assert meta["swaps"] == min(s["swaps"] for s in stats)
     assert all(s["seconds"] >= 0 for s in stats)
-    assert "levels" not in meta  # only with --dump-levels
+    assert "levels" in meta and "initial_swaps" not in meta
 
 
 def test_compile_qasm_file(tmp_path):
@@ -164,7 +164,7 @@ def test_bench_chain_suite(tmp_path, capsys):
         ("chain_4", "grid:2", "vcycle", 0),
         ("chain_4", "grid:2", "vcycle", 1),
     ]
-    assert all("stats" in r and "initial_swaps" in r for r in rows if r["mode"] == "vcycle")
+    assert all("stats" in r and "levels" in r for r in rows if r["mode"] == "vcycle")
 
 
 def test_bench_deterministic(capsys):
@@ -179,23 +179,21 @@ def test_bench_deterministic(capsys):
 @pytest.mark.parametrize("mode", ["srefine", "vcycle", "exact"])
 def test_bench_row_is_the_compile_record(tmp_path, capsys, mode):
     # both commands describe a run with one record; bench adds only the suite,
-    # the instance label and the device spec, and drops the levels
+    # the instance label and the device spec
     scale = "0.001"
     rows = bench_rows(capsys, "--suite", "qaoa", "--sizes", "6", "--devices", "grid:3",
                       "--seeds", "2", "--modes", mode, "--budget-scale", scale)
     out = tmp_path / "sol.json"
     argv = ["compile", "--device", "grid:3", "--gen", "qaoa:n=6", "--mode", mode, "--seed", "1"]
-    assert main([*argv, "--budget-scale", scale, "--dump-levels", "--out", str(out)]) == 0
+    assert main([*argv, "--budget-scale", scale, "--out", str(out)]) == 0
     meta = json.loads(out.read_text())["meta"]
     assert [row["seed"] for row in rows] == [0, 1]
     row = rows[1]
     assert (row.pop("suite"), row.pop("circuit"), row.pop("device")) == ("qaoa", "qaoa_6_s1", "grid:3")
-    assert ("levels" in meta) == (mode == "vcycle")
-    meta.pop("levels", None)
     assert without_seconds(row) == without_seconds(meta)
     extras = {
         "srefine": set(),
-        "vcycle": {"stats", "initial_swaps"},
+        "vcycle": {"stats", "levels"},
         "exact": {"proven_optimal", "timed_out", "nodes"},
     }[mode]
     common = {"mode", "seed", "qubits", "gates", "swaps", "depth", "seconds", "verified"}
@@ -252,14 +250,12 @@ def test_dump_levels_embeds_hierarchy(tmp_path):
             "--gen", "qaoa:n=8",
             "--mode", "vcycle",
             "--budget-scale", "0.001",
-            "--dump-levels",
             "--out", str(out),
         ]
     )
     assert rc == 0
-    bundle = json.loads(out.read_text())
-    assert "levels" in bundle["meta"]
-    assert bundle["meta"]["levels"]["levels"][0]["qubits"] == 8
+    # every vcycle record carries its levels, finest first
+    assert json.loads(out.read_text())["meta"]["levels"][0]["qubits"] == 8
 
 
 def test_bench_exact_uses_budget_scale(tmp_path, monkeypatch):
@@ -353,9 +349,11 @@ def test_bench_rejects_bad_modes_before_any_job(capsys, monkeypatch, modes):
          "--depths 5 (--density 2.0): density must be"),
         (["--suite", "chain", "--sizes", "4", "--devices", "grid:3,grid:1"],
          "--devices grid:1: grid requires"),
+        (["--suite", "queko", "--depths", "5,x"], "--depths x: "),
+        (["--suite", "qaoa", "--sizes", "8,x"], "--sizes x: "),
     ],
     ids=["qaoa_size_0", "chain_size_1", "qaoa_over_device", "queko_negative_depth",
-         "queko_density_2", "device_grid_1"],
+         "queko_density_2", "device_grid_1", "queko_depth_x", "qaoa_size_x"],
 )
 def test_bench_rejects_bad_instances_before_any_job(capsys, monkeypatch, argv, problem):
     # every instance is built before the first solve, and the error names

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from conftest import is_acyclic
@@ -12,13 +13,14 @@ from mlqls import (
     cluster_physical,
     cluster_program,
     coarsen,
+    gen_qaoa,
     gen_queko,
     identity_cluster_map,
-    induced_coarse_mapping,
     interpolate,
     make_device,
 )
 from mlqls.cluster import affinity
+from mlqls.srefine import SrefineConfig, srefine_run
 from mlqls.verify import QlsSolution
 
 
@@ -95,6 +97,25 @@ class TestClusterPhysical:
         with pytest.raises(ClusteringError, match="disconnected"):
             cluster_physical(path4, bad, Mapping((0, 1, 2, 3)))
 
+    def test_cell_numbers_follow_program_cells(self, grid4):
+        # physical cell i holds every image of program cell i, so the coarse
+        # guide mapping is the identity
+        guided = []  # (circuit, device, guide mapping)
+        for device, seeds in ((grid4, range(3)), (make_device("sycamore54"), range(2))):
+            for seed in seeds:
+                c, witness = gen_queko(device, 5, 0.5, seed=seed)
+                guided.append((c, device, witness))
+        cfg = SrefineConfig(candidates=1, mapper_first_budget=0.05, mapper_next_budget=0.02)
+        for n, side in ((12, 4), (20, 5)):
+            c, device = gen_qaoa(n, seed=n), make_device("grid", side)
+            sol = srefine_run(c, device, None, cfg, random.Random(n))
+            guided.append((c, device, sol.block_mappings[0]))
+        for c, device, guide in guided:
+            prog = cluster_program(c, guide, device)
+            phys = cluster_physical(device, prog, guide)
+            for i, cell in enumerate(prog.coarse_to_fine):
+                assert {phys.fine_to_coarse[guide[q]] for q in cell} == {i}
+
     def test_consistency_factorization(self, grid4):
         # co-clustered program qubits land in one physical cell
         for seed in range(5):
@@ -151,10 +172,10 @@ class TestCoarsen:
         prog = cluster_program(c, wit, grid4)
         phys = cluster_physical(grid4, prog, wit)
         coarse_c, coarse_g = coarsen(c, grid4, prog, phys)
-        cm = induced_coarse_mapping(prog, phys, wit)
+        cm = Mapping(tuple(range(prog.num_coarse)))
         assert len(cm) == coarse_c.num_qubits
         assert len(set(cm.assignment)) == len(cm)
-        # the induced mapping executes every coarse gate in place
+        # the identity executes every coarse gate in place
         sol = QlsSolution((cm,), tuple(0 for _ in coarse_c.gates), ())
         from mlqls.verify import verify
 
@@ -192,7 +213,7 @@ class TestInterpolate:
             prog = cluster_program(c, wit, grid4)
             phys = cluster_physical(grid4, prog, wit)
             coarse_c, coarse_g = coarsen(c, grid4, prog, phys)
-            cm = induced_coarse_mapping(prog, phys, wit)
+            cm = Mapping(tuple(range(prog.num_coarse)))
             coarse_sol = QlsSolution((cm,), tuple(0 for _ in coarse_c.gates), ())
             regions = interpolate(coarse_sol, prog, phys, grid4)
             for q in range(c.num_qubits):
@@ -213,4 +234,5 @@ def test_hierarchy_json(grid4):
     c, wit = gen_queko(grid4, 5, 0.5, seed=0)
     h = LevelHierarchy([Level(c, grid4, None, None)])
     data = h.to_json()
-    assert data["levels"][0]["qubits"] == 16
+    assert isinstance(data, list)
+    assert data[0]["qubits"] == 16

@@ -89,6 +89,17 @@ def _flow_qaoa_vcycle_wins():
     return flow_qaoa20_grid5(1).final
 
 
+def _flow_qaoa48_three_levels():
+    # Levels 48/19/8: the only digest whose flow coarsens more than once, so
+    # it pins the guide mapping of the second coarsening.
+    cfg = FlowConfig(
+        seed=4,
+        srefine=_SREFINE,
+        exact=ExactConfig(post_first_solution_budget=0.1, overall_budget=0.3),
+    )
+    return run_mlqls(gen_qaoa(48, 0), make_device("grid", 7), cfg).final
+
+
 def _exact_cold():
     dev = make_device("custom", edges=[(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)])
     cfg = ExactConfig(post_first_solution_budget=1.0, overall_budget=3.0)
@@ -109,6 +120,7 @@ CALLS = {
     "srefine_noncomm9x40_1q_grid3": _srefine_noncomm_one_qubit_gates,
     "flow_qaoa20_grid5": _flow_qaoa,
     "flow_qaoa20_s1_grid5": _flow_qaoa_vcycle_wins,
+    "flow_qaoa48_grid7": _flow_qaoa48_three_levels,
     "exact_cold_5x9_grid2x3": _exact_cold,
     "exact_6x16_1q_grid2x3": _exact_one_qubit_gates,
 }
@@ -123,12 +135,14 @@ def digest(sol) -> str:
 # bookkeeping landed; exact_6x16_1q_grid2x3 (11 two-qubit and 5 single-qubit
 # gates, 2 SWAPs, proven optimal) before both searches dropped their
 # in-degree counters; flow_qaoa20_s1_grid5 once refinement routed without
-# regions.
+# regions; flow_qaoa48_grid7 (levels 48/19/8, 45 -> 41 SWAPs) at the commit
+# before the hierarchy took the identity as its coarse guide.
 GOLDEN = {
     "exact_6x16_1q_grid2x3": "99bcd4d127ca5cface87a1ae1f465a9934789191bebec66b8fb5ade25fa13949",
     "exact_cold_5x9_grid2x3": "972aa60143da7ac78d9fd945a5debb0f6333aae48b675b9d6d7d5f639d4ca9e5",
     "flow_qaoa20_grid5": "f983d1ea5810dc5657c6c88bb3db7f07a6e2a730ef9817a8a84367cc2b876419",
     "flow_qaoa20_s1_grid5": "ee3a41758c609b039bb9832f60342cc137ea5b40e6eccb612781accc1e9de62f",
+    "flow_qaoa48_grid7": "31b8735e50d844eff920d7feea62177613d8325c1c3bf0fc5100f9ea9c5db9b9",
     "srefine_noncomm16x30_grid4": "1b34af7e58a1f482be9308a169fcf97c3224623f11c78aa88436546647c68bd7",
     "srefine_noncomm9x40_1q_grid3": "ef27c187d9e27a9536b6d491fcbb2dff61d45eb93b74876f83ca23264c41392f",
     "srefine_qaoa12_grid4": "a72383d004f9915a335a46bbc655d77ec83135fa87649da9da4e6a8bac62fea2",
