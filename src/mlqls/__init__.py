@@ -10,7 +10,6 @@ from .cluster import (
     cluster_physical,
     cluster_program,
     coarsen,
-    identity_cluster_map,
     interpolate,
 )
 from .exact import (

@@ -24,8 +24,11 @@ class ClusteringError(ValueError):
 class ClusterMap:
     """A partition of fine qubit indices into coarse cells.
 
-    Pairing makes cells of two; absorbing stranded leftovers may grow a cell
-    to three.
+    Pairing makes cells of two. A stranded program qubit joins a cell only
+    while it holds fewer than three. A spare physical position with no free
+    neighbour joins its smallest neighbouring cell of any size, so physical
+    cells can grow past three: a qubit triangle on a five-position T-shaped
+    device gives one cell of all five positions.
     """
 
     fine_to_coarse: tuple[int, ...]
@@ -47,11 +50,6 @@ class ClusterMap:
     @property
     def num_coarse(self) -> int:
         return len(self.coarse_to_fine)
-
-
-def identity_cluster_map(n: int) -> ClusterMap:
-    """Degenerate map: every fine qubit is its own cell."""
-    return ClusterMap(tuple(range(n)), tuple((i,) for i in range(n)))
 
 
 @dataclass(frozen=True)
@@ -217,19 +215,14 @@ def cluster_physical(
             cell_of[p] = cell_of[free_nb] = idx
             cells.append([p, free_nb])
             continue
-        nb_cells = sorted(
-            {cell_of[nb] for nb in graph.neighbors[p]},
-            key=lambda c: (len(cells[c]), c),
-        )
+        nb_cells = {cell_of[nb] for nb in graph.neighbors[p]}
         if not nb_cells:
-            # Degenerate single-vertex device component handled upstream;
-            # a connected graph always gives a neighbor.
+            # Only a one-position device has a position without neighbours.
             idx = len(cells)
             cell_of[p] = idx
             cells.append([p])
             continue
-        small = [c for c in nb_cells if len(cells[c]) < 3] or nb_cells
-        c = small[0]
+        c = min(nb_cells, key=lambda c: (len(cells[c]), c))
         cell_of[p] = c
         cells[c].append(p)
     return ClusterMap(tuple(cell_of), tuple(tuple(sorted(c)) for c in cells))

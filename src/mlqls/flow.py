@@ -19,7 +19,6 @@ from .cluster import (
     cluster_physical,
     cluster_program,
     coarsen,
-    identity_cluster_map,
     interpolate,
 )
 from .exact import ExactConfig, fits_exact, solve_exact
@@ -91,11 +90,12 @@ def _better(a: QlsSolution, b: QlsSolution) -> bool:
 
 
 def _build_hierarchy(circuit: Circuit, graph: CouplingGraph, guide: Mapping) -> LevelHierarchy:
-    """Cluster repeatedly, guided by the current solution's first-block
-    mapping, until the coarsest instance fits the exact-solver limits or
-    compression stalls."""
+    """Cluster and coarsen at least once, guided by the current solution's
+    first-block mapping, and stop once the coarsest instance fits the
+    exact-solver limits, compression stalls, or the hierarchy reaches
+    ``_MAX_LEVELS`` levels."""
     levels: list[Level] = []
-    while not fits_exact(circuit) and len(levels) + 1 < _MAX_LEVELS:
+    for _ in range(_MAX_LEVELS - 1):  # the coarsest level is appended below
         prog_cm = cluster_program(circuit, guide, graph)
         phys_cm = cluster_physical(graph, prog_cm, guide)
         levels.append(Level(circuit, graph, prog_cm, phys_cm))
@@ -103,7 +103,9 @@ def _build_hierarchy(circuit: Circuit, graph: CouplingGraph, guide: Mapping) -> 
         # cluster_physical numbers physical cell i as the image of program
         # cell i, so the identity places each coarse qubit on its image.
         guide = Mapping(tuple(range(circuit.num_qubits)))
-        if not compression_guard(levels[-1].circuit.num_qubits, circuit.num_qubits):
+        if fits_exact(circuit) or not compression_guard(
+            levels[-1].circuit.num_qubits, circuit.num_qubits
+        ):
             break
     levels.append(Level(circuit, graph, None, None))
     return LevelHierarchy(levels)
@@ -121,8 +123,10 @@ def _quick_srefine(base: SrefineConfig) -> SrefineConfig:
 def _solve_hierarchy(
     hierarchy: LevelHierarchy, cfg: FlowConfig, rng: random.Random
 ) -> QlsSolution:
-    """Solve the coarsest level (exactly when it fits), then interpolate and
-    refine back down to the finest level."""
+    """Solve the coarsest level, then interpolate and refine each finer level
+    in turn down to the finest. When the coarsest level fits the exact
+    solver, a short sRefine run warm-starts it; otherwise a full sRefine run
+    solves the level."""
     coarsest = hierarchy.levels[-1]
     exact = fits_exact(coarsest.circuit)
     coarse_cfg = _quick_srefine(cfg.srefine) if exact else cfg.srefine
@@ -133,21 +137,7 @@ def _solve_hierarchy(
         coarse_sol = solve_exact(
             coarsest.circuit, coarsest.graph, cfg.exact, warm_start=coarse_sol
         ).solution
-    if len(hierarchy) == 1:
-        # Degenerate V: refine the finest level around the exact solution.
-        level = hierarchy.levels[0]
-        regions = interpolate(
-            coarse_sol,
-            identity_cluster_map(level.circuit.num_qubits),
-            identity_cluster_map(level.graph.num_physical),
-            level.graph,
-        )
-        refined = srefine_run(
-            level.circuit, level.graph, regions, cfg.srefine, random.Random(rng.randrange(1 << 62))
-        )
-        return refined if _better(refined, coarse_sol) else coarse_sol
-    for i in range(len(hierarchy) - 2, -1, -1):
-        level = hierarchy.levels[i]
+    for level in reversed(hierarchy.levels[:-1]):
         assert level.prog_map is not None and level.phys_map is not None
         regions = interpolate(coarse_sol, level.prog_map, level.phys_map, level.graph)
         coarse_sol = srefine_run(

@@ -8,7 +8,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 
-TWO_QUBIT_NAMES = ("cx", "cz", "swap")
+TWO_QUBIT_NAMES = ("CX", "cx", "cz", "swap")
 
 
 class QasmError(ValueError):
@@ -331,14 +331,17 @@ def _eagle127() -> CouplingGraph:
 
 _QREG_RE = re.compile(r"^qreg\s+([A-Za-z_][\w]*)\s*\[\s*(\d+)\s*\]$")
 _OPERAND_RE = re.compile(r"^([A-Za-z_][\w]*)\s*\[\s*(\d+)\s*\]$")
-_GATE_RE = re.compile(r"^([A-Za-z_][\w]*)\s*(\(([^)]*)\))?\s+(.+)$")
+# The parameter group runs to the last ')' before the operands; parse_qasm
+# then checks that its parentheses balance.
+_GATE_RE = re.compile(r"^([A-Za-z_][\w]*)\s*(\((.*)\))?\s+(.+)$")
 
 _REJECTED_KEYWORDS = ("creg", "measure", "reset", "if", "gate", "opaque")
 
 
 def parse_qasm(text: str) -> Circuit:
-    """Parse an OpenQASM 2.0 subset: one qreg, cx/cz/swap two-qubit gates,
-    any other named gate as an opaque single-qubit gate.
+    """Parse an OpenQASM 2.0 subset: one qreg, and gates of one or two
+    operands with an optional parameter list, each kept as an opaque gate
+    under its name.
 
     Classical operations, extra registers, and 3+-qubit gates are rejected.
     Raises QasmError with the offending line number.
@@ -362,7 +365,7 @@ def parse_qasm(text: str) -> Circuit:
             reg_name, reg_size = m.group(1), int(m.group(2))
             continue
         m = _GATE_RE.match(stmt)
-        if not m:
+        if not m or not _balanced(m.group(3) or ""):
             raise QasmError(f"line {line_no}: cannot parse statement {stmt!r}")
         name, operand_text = m.group(1), m.group(4)
         if reg_name is None:
@@ -378,20 +381,26 @@ def parse_qasm(text: str) -> Circuit:
             if idx >= reg_size:
                 raise QasmError(f"line {line_no}: qubit index {idx} out of range")
             qubits.append(idx)
-        if name in TWO_QUBIT_NAMES:
-            if len(qubits) != 2:
-                raise QasmError(f"line {line_no}: {name} expects two operands")
-            if qubits[0] == qubits[1]:
-                raise QasmError(f"line {line_no}: duplicate operands")
-        else:
-            if len(qubits) != 1:
-                raise QasmError(
-                    f"line {line_no}: unsupported {len(qubits)}-qubit gate {name!r}"
-                )
+        if name in TWO_QUBIT_NAMES and len(qubits) != 2:
+            raise QasmError(f"line {line_no}: {name} expects two operands")
+        if len(qubits) > 2:
+            raise QasmError(f"line {line_no}: unsupported {len(qubits)}-qubit gate {name!r}")
+        if len(qubits) == 2 and qubits[0] == qubits[1]:
+            raise QasmError(f"line {line_no}: duplicate operands")
         gates.append(Gate(len(gates), tuple(qubits), name))
     if reg_name is None:
         raise QasmError("no qreg declaration found")
     return Circuit(reg_size, tuple(gates))
+
+
+def _balanced(text: str) -> bool:
+    """True when every ')' in ``text`` closes an earlier '('."""
+    depth = 0
+    for ch in text:
+        depth += (ch == "(") - (ch == ")")
+        if depth < 0:
+            return False
+    return depth == 0
 
 
 def _split_statements(text: str) -> list[tuple[int, str]]:
@@ -533,6 +542,8 @@ def gen_queko(
         raise ValueError("depth must be >= 1")
     if not 0.0 < density <= 1.0:
         raise ValueError("density must be in (0, 1]")
+    if not device.edges:
+        raise ValueError(f"device {device.name!r} has no couplers to place QUEKO gates on")
     rng = random.Random(seed)
     n = device.num_physical
     placement = list(range(n))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from mlqls import Circuit, CouplingGraph, Gate, Mapping, make_device
+from mlqls import Circuit, ClusterMap, CouplingGraph, Gate, Mapping, make_device
 from mlqls.exact import _ORACLE_MAX_GATES, _ORACLE_MAX_PHYSICAL, OracleLimitError
 from mlqls.model import DependencyDag, build_dag, uncommon_qubits
 from mlqls.srefine import (
@@ -68,6 +68,12 @@ def scenario_mapping():
     """Initial placement used with triangle_circuit on tshape5:
     q0 -> p3, q1 -> p1, q2 -> p2."""
     return Mapping((3, 1, 2))
+
+
+def identity_cluster_map(n: int) -> ClusterMap:
+    """Every fine qubit in its own cell, so ``interpolate`` through it gives
+    each qubit its own position plus a one-hop ring."""
+    return ClusterMap(tuple(range(n)), tuple((i,) for i in range(n)))
 
 
 def random_connected_graph(rng: random.Random, n: int, extra: int):

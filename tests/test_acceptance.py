@@ -8,7 +8,7 @@ import statistics
 import time
 
 import pytest
-from conftest import AStarState, heuristic_h, is_acyclic
+from conftest import AStarState, heuristic_h, identity_cluster_map, is_acyclic
 
 from mlqls import (
     Circuit,
@@ -17,7 +17,6 @@ from mlqls import (
     gen_chain,
     gen_qaoa,
     gen_queko,
-    identity_cluster_map,
     interpolate,
     make_device,
 )

@@ -218,6 +218,22 @@ def test_device_file_too_sparse_to_connect_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: coupling graph is disconnected\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compile", "--gen", "queko:depth=3", "--mode", "srefine", "--device"],
+        ["bench", "--suite", "queko", "--depths", "3", "--modes", "srefine", "--devices"],
+    ],
+    ids=["compile", "bench"],
+)
+def test_queko_on_device_without_couplers_exits_2(tmp_path, capsys, argv):
+    dev = tmp_path / "dev.json"
+    dev.write_text(json.dumps({"num_qubits": 1, "edges": []}))
+    assert main([*argv, f"file:{dev}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "has no couplers" in err
+
+
 def test_verify_bare_solution_with_flags(tmp_path):
     from mlqls import Circuit, Mapping, make_device
     from mlqls.srefine import astar_insert

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from conftest import is_acyclic
+from conftest import identity_cluster_map, is_acyclic
 
 from mlqls import (
     Circuit,
@@ -15,7 +15,6 @@ from mlqls import (
     coarsen,
     gen_qaoa,
     gen_queko,
-    identity_cluster_map,
     interpolate,
     make_device,
 )

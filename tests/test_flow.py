@@ -15,7 +15,7 @@ from mlqls import (
     gen_queko,
     make_device,
 )
-from mlqls.exact import MAX_QUBITS, ExactConfig, optimal_oracle
+from mlqls.exact import MAX_QUBITS, ExactConfig, fits_exact, optimal_oracle, solve_exact
 from mlqls.flow import FlowConfig, compression_guard, run_mlqls
 from mlqls.srefine import SrefineConfig
 from mlqls.verify import asap_depth, solution_to_json, swap_count, verify
@@ -46,11 +46,32 @@ class TestCompressionGuard:
 class TestRunMlqls:
     def test_degenerate_vcycle_small_instance(self, tshape5, triangle_circuit):
         r = run_mlqls(triangle_circuit, tshape5, fast_cfg())
-        assert len(r.levels) == 1
+        assert len(r.levels) == 2
+        coarsest = r.levels.levels[-1].circuit
+        assert fits_exact(coarsest)
+        assert coarsest.num_qubits < triangle_circuit.num_qubits
         assert swap_count(r.final) <= swap_count(r.initial)
         assert verify(triangle_circuit, tshape5, r.final).ok
         # one swap is provably optimal here (no triangle in the device)
         assert swap_count(r.final) == 1
+
+    def test_exact_sized_circuit_coarsens_once(self, grid3, monkeypatch):
+        # QAOA-8 fits the exact solver and still needs SWAPs after stage
+        # one; the V cycle coarsens it once and solves the coarse level
+        solves = []
+
+        def spy(circuit, graph, *args, **kwargs):
+            solves.append(circuit.num_qubits)
+            return solve_exact(circuit, graph, *args, **kwargs)
+
+        monkeypatch.setattr("mlqls.flow.solve_exact", spy)
+        c = gen_qaoa(8, seed=0)
+        assert fits_exact(c)
+        r = run_mlqls(c, grid3, fast_cfg())
+        assert swap_count(r.initial) > 0
+        assert len(r.levels) == 2
+        assert len(solves) == 1 and solves[0] < c.num_qubits
+        assert verify(c, grid3, r.final).ok
 
     def test_queko_grid4_reaches_zero(self, grid4):
         c, _ = gen_queko(grid4, 5, 0.5, seed=0)
@@ -97,8 +118,8 @@ class TestRunMlqls:
 def oracle_sized_flows(draw):
     """A random connected device of at most 6 nodes, a random circuit of at
     most 10 gates on it (some single-qubit), and a flow seed. These fit the
-    exact solver, so the flow runs its degenerate V: refinement around the
-    exact solution, seeded from its regions."""
+    exact solver, so a V cycle coarsens them once, solves the coarse level
+    exactly, and refines around that solution, seeded from its regions."""
     n = draw(st.integers(3, 6))
     rng = random.Random(draw(st.integers(0, 2**32)))
     graph = CouplingGraph.build(n, sorted(random_connected_graph(rng, n, draw(st.integers(0, 2)))))
@@ -112,8 +133,8 @@ def oracle_sized_flows(draw):
     return graph, Circuit(nq, tuple(gates), draw(st.booleans())), draw(st.integers(0, 2**32))
 
 
-# 132 of these 300 examples need SWAPs, so the flow refines them around the
-# exact solution.
+# 116 of these 300 examples keep SWAPs after stage one, so the flow runs its
+# V cycle on them; each of the 116 coarsens once, to fewer qubits.
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(oracle_sized_flows())
 def test_flow_is_valid_bounded_and_reproducible(instance):

@@ -67,6 +67,30 @@ class TestParseQasm:
         c = parse_qasm("qreg q[2];\nrz(0.5) q[0];\nbarrier q[0];\ncz q[0],q[1];")
         assert [g.name for g in c.gates] == ["rz", "cz"]
 
+    @pytest.mark.parametrize(
+        "stmt, name", [("rz(-(pi/4)) q[0];", "rz"), ("u3(pi/2,0,(3*pi)/4) q[1];", "u3")]
+    )
+    def test_nested_parameter_parentheses(self, stmt, name):
+        c = parse_qasm(f"qreg q[2];\n{stmt}")
+        assert [g.name for g in c.gates] == [name]
+
+    @pytest.mark.parametrize("stmt", ["rz((0.5) q[0];", "rz(0.5)) q[0];", "rz)0.5( q[0];"])
+    def test_unbalanced_parameter_parentheses(self, stmt):
+        with pytest.raises(QasmError, match="cannot parse"):
+            parse_qasm(f"qreg q[2];\n{stmt}")
+
+    @pytest.mark.parametrize(
+        "stmt, name", [("CX q[0],q[1];", "CX"), ("rzz(0.5) q[0],q[1];", "rzz"), ("ch q[0],q[1];", "ch")]
+    )
+    def test_any_two_operand_gate_is_two_qubit(self, stmt, name):
+        c = parse_qasm(f"qreg q[2];\n{stmt}")
+        assert [(g.name, g.qubits) for g in c.gates] == [(name, (0, 1))]
+
+    @pytest.mark.parametrize("name", ["CX", "cx", "cz", "swap"])
+    def test_two_qubit_name_with_one_operand(self, name):
+        with pytest.raises(QasmError, match="expects two operands"):
+            parse_qasm(f"qreg q[2];\n{name} q[0];")
+
     def test_parse_literal_gates(self):
         c = parse_qasm("qreg q[4];\nh q[2];\ncx q[0],q[1];\nswap q[1],q[3];\nt q[0];\ncz q[2],q[3];")
         assert c.num_qubits == 4

@@ -11,6 +11,7 @@ from conftest import (
     drop_dag_edges,
     expand,
     heuristic_h,
+    identity_cluster_map,
     random_connected_graph,
     random_gates,
     reference_candidate_edges,
@@ -505,7 +506,7 @@ class TestSrefineRun:
     def test_refinement_with_witness_regions_not_worse(self, grid4):
         # regions derived from a known zero-SWAP solution should let the
         # refiner match or beat the standalone run on most seeds
-        from mlqls import identity_cluster_map, interpolate
+        from mlqls import interpolate
         from mlqls.verify import QlsSolution
 
         cfg = SrefineConfig(candidates=2, mapper_first_budget=0.5, mapper_next_budget=0.2)
