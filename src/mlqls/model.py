@@ -10,6 +10,10 @@ from dataclasses import dataclass, field
 
 TWO_QUBIT_NAMES = ("CX", "cx", "cz", "swap")
 
+# The most positions a device may have: a device stores an all-pairs
+# distance table, which grows with the square of its size.
+MAX_DEVICE_QUBITS = 4096
+
 
 class QasmError(ValueError):
     """Malformed or unsupported OpenQASM input."""
@@ -205,6 +209,7 @@ class CouplingGraph:
             norm.add((min(a, b), max(a, b)))
         if num_physical > len(norm) + 1:  # too few edges to connect: refuse before allocating
             raise DeviceError("coupling graph is disconnected")
+        _check_device_size(num_physical)
         nbr: list[list[int]] = [[] for _ in range(num_physical)]
         for a, b in norm:
             nbr[a].append(b)
@@ -218,6 +223,15 @@ class CouplingGraph:
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
+
+
+def _check_device_size(num_physical: int) -> None:
+    """DeviceError when a device would have more than ``MAX_DEVICE_QUBITS``
+    positions, checked before anything of that size is allocated."""
+    if num_physical > MAX_DEVICE_QUBITS:
+        raise DeviceError(
+            f"device has {num_physical} qubits, over the limit of {MAX_DEVICE_QUBITS}"
+        )
 
 
 def _bfs_all_pairs(n: int, neighbors) -> tuple[tuple[int, ...], ...]:
@@ -248,6 +262,7 @@ def make_device(kind: str, n: int | None = None, edges=None) -> CouplingGraph:
     if kind == "grid":
         if n is None or n < 2:
             raise DeviceError("grid requires n >= 2")
+        _check_device_size(n * n)
         e = []
         for r in range(n):
             for c in range(n):
@@ -259,6 +274,7 @@ def make_device(kind: str, n: int | None = None, edges=None) -> CouplingGraph:
     if kind == "path":
         if n is None or n < 2:
             raise DeviceError("path requires n >= 2")
+        _check_device_size(n)
         return CouplingGraph.build(n, [(i, i + 1) for i in range(n - 1)], name=f"path:{n}")
     if kind == "sycamore54":
         return _sycamore54()

@@ -6,9 +6,12 @@ The mapper adds the circuit's gate pairs one at a time, in random order, and
 keeps a pair when a backtracking embedding search (in the manner of VF2) can
 place it and every pair kept before it on couplers within a node budget. The
 search tries a qubit only at positions with at least as many neighbours as it
-has partners (Ullmann's degree rule), which removes no embedding. A start
-that puts every two-qubit gate on a coupler needs neither annealing nor a
-routing search.
+has partners (Ullmann's degree rule), which removes no embedding, and reads a
+qubit's candidates off its placed partners' positions when it picks the
+qubit. Its per-qubit state lives for the whole mapper call; a pair that the
+last accepted embedding already satisfies is accepted without a search, for
+the nodes the search would have spent re-placing it. A start that puts every
+two-qubit gate on a coupler needs neither annealing nor a routing search.
 
 The annealing cost charges each two-qubit gate its mapped distance, decayed by
 circuit position, plus a related-qubit term pulling consecutively-interacting
@@ -878,7 +881,14 @@ def initial_mapper(
     deterministic node budget derived from ``budget_seconds``. The search
     only tries a qubit at positions with at least as many neighbours as the
     qubit has partners, so each node the budget pays for is a candidate
-    that passes this degree rule.
+    that passes this degree rule. The search restarts from nothing for each
+    pair and tries every qubit at its position in the last accepted
+    embedding first, so a pair that this embedding already satisfies (both
+    qubits placed, on adjacent positions) would cost one node per placed
+    qubit and return the same embedding: such a pair is accepted without a
+    search and charged those nodes, or, with no more nodes than that left,
+    rejected with the budget spent. The state the search reads (partner
+    lists, scores, hints) is kept across pairs for the whole call.
     """
     mapping, _, _ = _initial_mapper_ex(circuit, graph, budget_seconds, rng)
     return mapping
@@ -890,6 +900,18 @@ def _initial_mapper_ex(
     budget_seconds: float,
     rng: random.Random | None,
 ) -> tuple[Mapping | None, int, int]:
+    """``initial_mapper``'s mapping, with the number of distinct gate pairs
+    it accepted and the number the circuit has.
+
+    One call keeps the embedding search's state, indexed by qubit: partner
+    lists, which a trial pair joins and a rejected one leaves again; each
+    qubit's score before a search places anything; and the last accepted
+    embedding, which is every search's hint. A pair that embedding already
+    satisfies is charged the V nodes that ``_embed`` would spend putting the
+    V placed qubits back on their hints, without running it: accepted if
+    more than V nodes are left, otherwise rejected with the budget spent, as
+    the search rejects it when its budget reaches 0.
+    """
     rng = rng or random.Random(0)
     if circuit.num_qubits > graph.num_physical:
         raise ValueError("more program qubits than physical qubits")
@@ -897,10 +919,7 @@ def _initial_mapper_ex(
     rng.shuffle(order)
     nodes = budget_seconds * _MAPPER_NODES_PER_SECOND
     budget = [nodes if nodes == math.inf else max(1000, int(nodes))]  # inf: no limit
-    required: dict[int, set[int]] = {}
-    assign: dict[int, int] = {}
     accepted_pairs: set[tuple[int, int]] = set()
-    placements: list[dict[int, int]] = []  # every accepted placement, in order
     total = len({(min(g.qubits), max(g.qubits)) for g in order})
     nbr_masks = [sum(1 << nb for nb in ns) for ns in graph.neighbors]
     # deg_masks[k]: the positions with at least k neighbours. A qubit has
@@ -909,35 +928,60 @@ def _initial_mapper_ex(
     for p, ns in enumerate(graph.neighbors):
         for k in range(len(ns) + 1):
             deg_masks[k] |= 1 << p
+    # base[q]: q's partner count, -1 without partners; hint[q]: q's position
+    # in the last accepted embedding, -1 for none.
+    n = circuit.num_qubits
+    partners: list[list[int]] = [[] for _ in range(n)]
+    base = [-1] * n
+    hint = [-1] * n
+    placed = 0  # qubits that the last accepted embedding places
+    placements: list[list[int]] = []  # every accepted embedding, in order
+
+    def link(a: int, b: int, keep: bool) -> None:
+        """Add the pair to both qubits' partners, or take it out again."""
+        for q, r in ((a, b), (b, a)):
+            if keep:
+                partners[q].append(r)
+            else:
+                partners[q].pop()
+            base[q] = len(partners[q]) or -1
 
     for gate in order:
         a, b = gate.qubits
         pair = (min(a, b), max(a, b))
         if pair in accepted_pairs:
             continue
-        # Try the pair in place; a rejected pair is taken out again.
-        required.setdefault(a, set()).add(b)
-        required.setdefault(b, set()).add(a)
-        solution = _embed(required, nbr_masks, deg_masks, assign, budget)
+        if hint[a] >= 0 and hint[b] >= 0 and nbr_masks[hint[a]] >> hint[b] & 1:
+            # The embedding already satisfies the pair, so the search would
+            # put each placed qubit back on its hint, one node each.
+            if budget[0] <= placed:
+                budget[0] = 0
+                break
+            budget[0] -= placed
+            accepted_pairs.add(pair)
+            link(a, b, True)
+            continue
+        link(a, b, True)
+        solution = _embed(partners, base, nbr_masks, deg_masks, hint, budget)
         if solution is not None:
             accepted_pairs.add(pair)
-            assign = solution
+            hint = solution
+            placed = n - solution.count(-1)
             placements.append(solution)
         else:
-            for q, r in ((a, b), (b, a)):
-                required[q].discard(r)
-                if not required[q]:
-                    del required[q]
+            link(a, b, False)
         if budget[0] <= 0:
             break
     if len(accepted_pairs) == total:  # the full embedding is SWAP-free
-        return _extend_partial(assign, circuit.num_qubits, graph), total, total
-    # Only now is a placement picked, so only now is one scored.
+        return _extend_partial(_placed(hint), n, graph), total, total
+    # Only now is a placement picked, so only now is one scored. A satisfied
+    # pair adds no placement: its embedding equals the one before, which
+    # scores the same and so is never strictly better.
     terms = _cost_terms(circuit)
     best_map: Mapping | None = None
     best_cost = math.inf
     for placement in placements:
-        full = _extend_partial(placement, circuit.num_qubits, graph)
+        full = _extend_partial(_placed(placement), n, graph)
         cost = _terms_cost(terms, full.assignment, graph.dist)
         if cost < best_cost:
             best_cost = cost
@@ -945,21 +989,31 @@ def _initial_mapper_ex(
     return best_map, len(accepted_pairs), total
 
 
+def _placed(pos: list[int]) -> dict[int, int]:
+    """The placed qubits of a position list (-1: not placed)."""
+    return {q: p for q, p in enumerate(pos) if p >= 0}
+
+
 def _embed(
-    constraints: dict[int, set[int]],
+    partners: list[list[int]],
+    base: list[int],
     nbr_masks: list[int],
     deg_masks: list[int],
-    hint: dict[int, int],
+    hint: list[int],
     budget: list[float],
-) -> dict[int, int] | None:
-    """Backtracking search for an injective placement making every constrained
-    pair adjacent (bit p' of ``nbr_masks[p]`` is set when p' neighbours
-    position p, and bit p of ``deg_masks[k]`` when p has at least k
-    neighbours); returns the placement, in the order it was made, or None.
+) -> list[int] | None:
+    """Backtracking search for an injective placement making every qubit
+    adjacent to each of its ``partners``; returns every qubit's position (-1
+    for a qubit without partners), or None.
+
+    The state comes in indexed by qubit: ``base[q]`` is q's partner count,
+    or -1 without partners, and ``hint[q]`` a position to try first, or -1.
+    Bit p' of ``nbr_masks[p]`` is set when p' neighbours position p, and bit
+    p of ``deg_masks[k]`` when p has at least k neighbours.
 
     The search rule:
     - pick: the unplaced qubit with the most placed partners, then the most
-      constraints, then the lowest index;
+      partners, then the lowest index;
     - degree rule: a qubit only goes to a position with at least as many
       neighbours as it has partners;
     - candidates: the free positions that pass the degree rule and are
@@ -975,46 +1029,66 @@ def _embed(
     embedding below it. The search therefore makes the same first placement
     as without the rule, in the same order, and tries no more candidates.
 
-    It runs as one loop over a stack of placements. A qubit's domain starts
-    as its degree mask and is ANDed with its placed partners' neighbour
-    masks, so placing a qubit narrows its partners' domains; each placement
-    keeps a snapshot of the free positions, domains and scores from before
-    it, and backtracking restores that snapshot.
+    It runs as one loop over a stack of placements. A qubit's candidates are
+    read off at its pick: its degree mask ANDed with the free positions and
+    its placed partners' neighbour masks, the same set at the same point of
+    the search whatever was tried before. Each placement keeps its untried
+    candidates and the free positions from before it. Backtracking moves the
+    last placed qubit to its next untried candidate; with none left, it takes
+    that placement back, with the scores it raised, and goes on to the one
+    before. The caller keeps the state between searches (see
+    ``_initial_mapper_ex``); a search only allocates its scores, positions
+    and stack.
     """
-    variables = sorted(constraints)
-    if not variables:
-        return {}
-    size = len(variables)
-    index = {q: i for i, q in enumerate(variables)}
-    partners = [[index[r] for r in constraints[q]] for q in variables]
-    hints = [hint.get(q) for q in variables]
-    # An unplaced variable scores (placed partners) * V + (constraints), both
-    # below V; placing it subtracts V * V, so only unplaced ones score >= 0,
+    n = len(base)
+    # An unplaced qubit with partners scores (placed partners) * n +
+    # (partners), both below n; one without scores -1, and placing one
+    # subtracts n * n, so only the unplaced ones with partners score >= 0,
     # and the first maximum is the pick.
-    score = [len(constraints[q]) for q in variables]
-    placed_offset = size * size
+    score = base[:]
+    placed_offset = n * n
+    pos = [-1] * n
     free = (1 << len(nbr_masks)) - 1  # positions not yet used
-    dom = [deg_masks[len(constraints[q])] for q in variables]
-    # One entry per placement: (variable, position, untried candidates, and
-    # free, dom and score as they were before it).
-    stack: list[tuple[int, int, int, int, list[int], list[int]]] = []
+    # One entry per placement: (qubit, untried candidates, free before it).
+    stack: list[tuple[int, int, int]] = []
     left = budget[0]
-    i = score.index(max(score))
     while True:
-        cands = dom[i] & free
-        hinted = hints[i]
-        if hinted is not None and cands >> hinted & 1:
+        best = max(score)
+        if best < 0:
+            budget[0] = left
+            return pos
+        i = score.index(best)
+        cands = deg_masks[base[i]] & free
+        for r in partners[i]:
+            at = pos[r]
+            if at >= 0:
+                cands &= nbr_masks[at]
+        hinted = hint[i]
+        if hinted >= 0 and cands >> hinted & 1:
             cands ^= 1 << hinted
             p = hinted
         else:
             low = cands & -cands
             cands ^= low
             p = low.bit_length() - 1  # -1 when there is none
-        while p < 0:  # take back the last placement and try its next candidate
-            if not stack:
-                budget[0] = left
-                return None
-            i, _, cands, free, dom, score = stack.pop()
+        if p >= 0:
+            score[i] -= placed_offset
+            for r in partners[i]:
+                score[r] += n
+        else:
+            # Take back placements until one has an untried candidate; that
+            # qubit stays counted as placed while it moves to the candidate.
+            while True:
+                if not stack:
+                    budget[0] = left
+                    return None
+                i, cands, free = stack.pop()
+                if cands:
+                    break
+                pos[i] = -1
+                score[i] += placed_offset
+                for r in partners[i]:
+                    score[r] -= n
             low = cands & -cands
             cands ^= low
             p = low.bit_length() - 1
@@ -1022,18 +1096,9 @@ def _embed(
         if left <= 0:
             budget[0] = left
             return None
-        stack.append((i, p, cands, free, dom[:], score[:]))
+        stack.append((i, cands, free))
         free ^= 1 << p
-        score[i] -= placed_offset
-        mask = nbr_masks[p]
-        for j in partners[i]:
-            dom[j] &= mask
-            score[j] += size
-        best = max(score)
-        if best < 0:
-            budget[0] = left
-            return {variables[j]: q for j, q, *_ in stack}
-        i = score.index(best)
+        pos[i] = p
 
 
 def _extend_partial(partial: dict[int, int], num_qubits: int, graph: CouplingGraph) -> Mapping:

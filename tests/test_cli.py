@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 
 import pytest
 
@@ -216,6 +217,22 @@ def test_device_file_too_sparse_to_connect_exits_2(tmp_path, capsys):
     argv = ["compile", "--device", f"file:{dev}", "--gen", "chain:n=4", "--mode", "srefine"]
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: coupling graph is disconnected\n"
+
+
+@pytest.mark.parametrize("where", ["grid", "file"])
+def test_device_over_the_size_limit_exits_2_at_once(tmp_path, capsys, where):
+    # grid:473 would need an all-pairs table of about 5·10^10 entries, and a
+    # connected 5,000-qubit path file one of 2.5·10^7; both are refused first
+    spec = "grid:473"
+    if where == "file":
+        dev = tmp_path / "dev.json"
+        edges = [[i, i + 1] for i in range(4999)]
+        dev.write_text(json.dumps({"num_qubits": 5000, "edges": edges}))
+        spec = f"file:{dev}"
+    start = time.process_time()
+    assert main(["compile", "--device", spec, "--gen", "chain:n=4"]) == 2
+    assert time.process_time() - start < 1.0
+    assert "over the limit of 4096" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

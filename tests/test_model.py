@@ -19,6 +19,7 @@ from mlqls import (
     make_device,
     parse_qasm,
 )
+from mlqls.model import MAX_DEVICE_QUBITS
 from mlqls.verify import QlsSolution, asap_depth, verify
 
 from conftest import is_acyclic, random_connected_graph
@@ -199,6 +200,13 @@ class TestDistances:
         with pytest.raises(DeviceError, match="disconnected"):
             CouplingGraph.build(10**12, [(0, 1), (1, 0)])
 
+    def test_over_the_size_limit_rejected(self):
+        # a path one position over the limit connects, so only the limit
+        # refuses it, before the distance table is built
+        n = MAX_DEVICE_QUBITS + 1
+        with pytest.raises(DeviceError, match=f"over the limit of {MAX_DEVICE_QUBITS}"):
+            CouplingGraph.build(n, [(i, i + 1) for i in range(n - 1)])
+
 
 class TestMakeDevice:
     def test_grid6(self):
@@ -219,6 +227,16 @@ class TestMakeDevice:
     def test_too_small(self):
         with pytest.raises(DeviceError):
             make_device("grid", 1)
+
+    @pytest.mark.parametrize(
+        "kind, n, size", [("grid", 65, 65 * 65), ("grid", 473, 473 * 473), ("path", 4097, 4097)]
+    )
+    def test_over_the_size_limit(self, kind, n, size):
+        # grid:473 would need an all-pairs table of about 5·10^10 entries;
+        # the limit refuses it before its edge list is built
+        limit = f"device has {size} qubits, over the limit of {MAX_DEVICE_QUBITS}"
+        with pytest.raises(DeviceError, match=limit):
+            make_device(kind, n)
 
     def test_device_json_roundtrip(self, tshape5):
         g2 = device_from_json(device_to_json(tshape5))

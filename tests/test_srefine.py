@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 from types import SimpleNamespace
 
+import conftest
 import pytest
 from conftest import (
     AStarState,
@@ -26,7 +27,7 @@ from conftest import (
     reference_sets,
     sa_cost,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mlqls.srefine as srefine
@@ -583,8 +584,15 @@ def degree_masks(graph):
 
 
 def embed(graph, constraints, hint, budget):
-    """``_embed`` with the neighbour and degree masks of ``graph``."""
-    return _embed(constraints, neighbour_masks(graph), degree_masks(graph), hint, budget)
+    """``_embed`` on the mapper's per-qubit state for a dict of constraint
+    sets and a dict of hints, with the neighbour and degree masks of
+    ``graph``; the placement comes back as a dict, or None."""
+    n = graph.num_physical
+    partners = [sorted(constraints.get(q, ())) for q in range(n)]
+    base = [len(ps) or -1 for ps in partners]
+    hints = [hint.get(q, -1) for q in range(n)]
+    pos = _embed(partners, base, neighbour_masks(graph), degree_masks(graph), hints, budget)
+    return None if pos is None else {q: p for q, p in enumerate(pos) if p >= 0}
 
 
 def check_embed(graph, constraints, hint, budget):
@@ -679,8 +687,26 @@ def mapper_instances(draw):
     return graph, circuit, draw(st.sampled_from([0.01, 0.05])), draw(st.integers(0, 2**32))
 
 
+# A QUEKO circuit on grid:4 whose mapper, with the seed-0 gate order, has
+# spent 1186 nodes when it first tries a pair that the embedding of its 16
+# placed qubits already satisfies. A budget of 1186 + V or 1186 + V + 1
+# nodes, V = 16, leaves exactly V or V + 1 nodes for that pair.
+SATISFIED_PAIR_SPENT, SATISFIED_PAIR_V = 1186, 16
+SATISFIED_PAIR_CASES = [
+    (
+        make_device("grid", 4),
+        gen_queko(make_device("grid", 4), 10, seed=2)[0],
+        (SATISFIED_PAIR_SPENT + SATISFIED_PAIR_V + extra) / srefine._MAPPER_NODES_PER_SECOND,
+        0,
+    )
+    for extra in (0, 1)
+]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(mapper_instances())
+@example(SATISFIED_PAIR_CASES[0])
+@example(SATISFIED_PAIR_CASES[1])
 def test_mapper_matches_eager_reference(instance):
     graph, circuit, budget_seconds, seed = instance
     expected = reference_initial_mapper(circuit, graph, budget_seconds, random.Random(seed))
@@ -701,6 +727,35 @@ def test_mapper_matches_eager_reference_when_budget_runs_out(grid4):
     mapping, accepted, total, budget_left, _ = expected
     assert budget_left <= 0 and 0 < accepted < total
     assert srefine._initial_mapper_ex(c, grid4, 0.01, random.Random(0)) == expected[:3]
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_satisfied_pair_cases_meet_the_budget(extra, monkeypatch):
+    # The reference searches every pair, so record each search: the budget
+    # it starts with, its V, whether its hint already satisfies every
+    # constraint, and whether it succeeds.
+    graph, circuit, budget_seconds, seed = SATISFIED_PAIR_CASES[extra]
+    searches = []
+
+    def recording_embed(constraints, graph, hint, budget, degree_rule=True):
+        start = budget[0]
+        satisfied = all(q in hint for q in constraints) and all(
+            graph.has_edge(hint[q], hint[r]) for q in constraints for r in constraints[q]
+        )
+        found = reference_embed(constraints, graph, hint, budget, degree_rule)
+        searches.append((start, len(constraints), satisfied, found is not None))
+        return found
+
+    monkeypatch.setattr(conftest, "reference_embed", recording_embed)
+    rng = random.Random(seed)
+    *_, budget_left, _ = reference_initial_mapper(circuit, graph, budget_seconds, rng)
+    v = SATISFIED_PAIR_V
+    met = [k for k, search in enumerate(searches) if search[0] == v + extra]
+    # V nodes run out on the pair itself; V + 1 accept it, and the next
+    # search runs out.
+    assert [searches[k] for k in met] == [(v + extra, v, True, extra == 1)]
+    assert met[0] == len(searches) - 1 - extra
+    assert budget_left == 0
 
 
 def check_degree_rule_embed(graph, constraints, hint, budget):
@@ -735,18 +790,22 @@ def check_degree_rule_mapper(circuit, graph, budget_seconds, seed):
         circuit, graph, budget_seconds, random.Random(seed), degree_rule=False
     )
     expected_map, _, total, budget_left, expected_pairs = expected
-    accepted_pairs = set()
+    # The mapper keeps one partner list per qubit for the whole call, and
+    # holds exactly its accepted pairs there once it returns: a rejected
+    # trial is taken out again, and a pair that the embedding already
+    # satisfies is added without a search.
+    seen = []
     real = srefine._embed
 
-    def recording_embed(constraints, *args):
-        solution = real(constraints, *args)
-        if solution is not None:
-            accepted_pairs.update((a, b) for a in constraints for b in constraints[a] if a < b)
-        return solution
+    def recording_embed(partners, *args):
+        seen.append(partners)
+        return real(partners, *args)
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(srefine, "_embed", recording_embed)
         got = srefine._initial_mapper_ex(circuit, graph, budget_seconds, random.Random(seed))
+    assert all(partners is seen[0] for partners in seen)
+    accepted_pairs = {(a, b) for ps in seen[:1] for a, rs in enumerate(ps) for b in rs if a < b}
     assert got[1] == len(accepted_pairs)
     if budget_left > 0:
         assert got == expected[:3]

@@ -1,5 +1,5 @@
-"""Compare the CPU time of two checkouts' annealing, routing and exact
-kernels on the same recorded inputs, in one process.
+"""Compare the CPU time of two checkouts' mapper, annealing, routing and
+exact kernels on the same recorded inputs, in one process.
 
     python3 tools/kernel_ab.py OTHER_CHECKOUT --workload qaoa-vcycle --seeds 1,2
     python3 tools/kernel_ab.py OTHER_CHECKOUT --workload qaoa-vcycle --seeds 1 \
@@ -8,15 +8,17 @@ kernels on the same recorded inputs, in one process.
 The tool loads each tree's ``src/mlqls`` under its own package name. It
 compiles the workload's perfbench instance sets for the given seeds with
 this checkout's package, once each, and records the input of every
-``srefine.sa_initial_mapping``, ``srefine.forward_backward`` and
-``exact.solve_exact`` call (the V cycle's coarse solves and the exact-small
-instances); ``--kernels`` names a comma-separated subset to record and
-replay, all three by default. Then it replays each input ``REPLAYS`` times
-in both trees, alternating which tree goes first from replay to replay,
-asserts that both give the same output (for ``sa_initial_mapping``: the
-mapping and the state of its ``random.Random`` after the call; for
-``solve_exact``: the solution JSON, ``proven_optimal``, ``timed_out`` and
-``nodes``), and prints per kernel the calls, each tree's CPU seconds
+``srefine._initial_mapper_ex``, ``srefine.sa_initial_mapping``,
+``srefine.forward_backward`` and ``exact.solve_exact`` call (the V cycle's
+coarse solves and the exact-small instances); ``--kernels`` names a
+comma-separated subset to record and replay, all four by default. Then it
+replays each input ``REPLAYS`` times in both trees, alternating which tree
+goes first from replay to replay, asserts that both give the same output
+(for ``_initial_mapper_ex``: the mapping, the accepted and total pair
+counts and the state of its ``random.Random`` after the call; for
+``sa_initial_mapping``: the mapping and that state; for ``solve_exact``:
+the solution JSON, ``proven_optimal``, ``timed_out`` and ``nodes``), and
+prints per kernel the calls, each tree's CPU seconds
 (``time.process_time``, summed over every replay), the ratio of those
 totals and the median of the per-input ratios. The total ratio weighs the
 long calls; the median is robust to one input that a noisy neighbour
@@ -45,7 +47,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
 MODULES = ("model", "verify", "cluster", "srefine", "exact", "flow")
-KERNELS = ("sa_initial_mapping", "forward_backward", "solve_exact")
+KERNELS = ("_initial_mapper_ex", "sa_initial_mapping", "forward_backward", "solve_exact")
 REPLAYS = 3  # replays of each recorded input per tree
 
 
@@ -67,7 +69,17 @@ def record(lib, workload: str, seeds: list[int], kernels) -> list[tuple[str, dic
     named kernels as plain data: ``(kernel, args)``."""
     calls: list[tuple[str, dict]] = []
     srefine = lib.srefine
+    real_mapper = srefine._initial_mapper_ex
     real_sa, real_fb = srefine.sa_initial_mapping, srefine.forward_backward
+
+    def mapper(circuit, graph, budget_seconds, rng):  # as initial_mapper calls it
+        calls.append(("_initial_mapper_ex", dict(
+            circuit=lib.model.circuit_to_json(circuit),
+            device=lib.model.device_to_json(graph),
+            budget=budget_seconds,
+            rng=rng.getstate(),
+        )))
+        return real_mapper(circuit, graph, budget_seconds, rng)
 
     def sa(circuit, graph, start, regions, rng):  # as srefine_run calls it
         calls.append(("sa_initial_mapping", dict(
@@ -99,6 +111,8 @@ def record(lib, workload: str, seeds: list[int], kernels) -> list[tuple[str, dic
         return real_exact(circuit, graph, cfg, warm_start)
 
     # The flow calls the name it imported; exact-small calls the module's.
+    if "_initial_mapper_ex" in kernels:
+        srefine._initial_mapper_ex = mapper
     if "sa_initial_mapping" in kernels:
         srefine.sa_initial_mapping = sa
     if "forward_backward" in kernels:
@@ -110,6 +124,7 @@ def record(lib, workload: str, seeds: list[int], kernels) -> list[tuple[str, dic
             for inst in workloads.build(lib, workload, seed):
                 workloads.compile_instance(lib, inst)
     finally:
+        srefine._initial_mapper_ex = real_mapper
         srefine.sa_initial_mapping, srefine.forward_backward = real_sa, real_fb
         lib.flow.solve_exact = lib.exact.solve_exact = real_exact
     return calls
@@ -142,6 +157,11 @@ class Replayer:
                 None if warm_start is None else lib.verify.solution_from_json(warm_start),
             ]
             module = lib.exact
+        elif kernel == "_initial_mapper_ex":
+            rng = random.Random()
+            rng.setstate(args["rng"])
+            call_args += [args["budget"], rng]
+            module = lib.srefine
         else:
             call_args.append(lib.model.Mapping(tuple(args["start"])))
             if kernel == "sa_initial_mapping":
@@ -158,6 +178,10 @@ class Replayer:
         t0 = time.process_time()
         out = getattr(module, kernel)(*call_args)
         seconds = time.process_time() - t0
+        if kernel == "_initial_mapper_ex":
+            mapping, accepted, total = out
+            assignment = None if mapping is None else mapping.assignment
+            return seconds, (assignment, accepted, total, rng.getstate())
         if kernel == "sa_initial_mapping":
             return seconds, (out.assignment, rng.getstate())
         if kernel == "solve_exact":
